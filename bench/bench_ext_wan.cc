@@ -26,8 +26,8 @@
 #include <vector>
 
 #include "bench/testbed.h"
+#include "bench/xmlrpc_tree_oracle.h"
 #include "griddb/rpc/wire.h"
-#include "griddb/xml/xml.h"
 
 using namespace griddb;
 
@@ -80,15 +80,11 @@ CodecRun RunQuery(rpc::RpcClient& client, const std::string& sql) {
 }
 
 // The pre-binary encoder, verbatim: a methodResponse tree serialized by
-// the generic XML writer. The byte-identity gate holds today's fast-path
-// EncodeResponse (and the native result-set value variant) to this.
+// the generic XML writer (bench/xmlrpc_tree_oracle.h). The byte-identity
+// gate holds today's one-pass EncodeResponse (and the native result-set
+// value variant) to this.
 std::string TreeWriterResponse(const rpc::XmlRpcValue& value) {
-  xml::Node root("methodResponse");
-  xml::Node& param = root.AddChild("params").AddChild("param");
-  param.children.push_back(std::make_unique<xml::Node>(value.ToXml()));
-  xml::WriteOptions options;
-  options.pretty = false;
-  return xml::Write(root, options);
+  return bench::xmlrpc_tree::EncodeResponse(value);
 }
 
 // The pre-binary result-set conversion, verbatim: explicit

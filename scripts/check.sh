@@ -66,6 +66,13 @@ echo "== perf gate: wire protocol bench =="
 # tree-writer encoder (results land in BENCH_wire.json).
 ./build/bench/bench_ext_wan BENCH_wire.json
 
+echo "== perf gate: XML-RPC codec bench =="
+# The one-pass XML-RPC writer must emit the tree oracle's exact bytes
+# (bench/xmlrpc_tree_oracle.h), both readers must return the original
+# rows, and over the Fig 6 row counts encode and decode must each stay
+# >= 2x faster than the tree codec (results land in BENCH_xml_codec.json).
+./build/bench/bench_ext_xml_codec BENCH_xml_codec.json
+
 echo "== crash injection: batch journal recovery sweep =="
 # Kill the batch coordinator at every named point of its checkpoint
 # protocol (see BatchJobManager::CrashHook) and require restart recovery
@@ -96,18 +103,20 @@ cmake --build /tmp/griddb_asan -j"$(nproc)" --target \
   stage_property_test query_cache_test overload_test \
   tenant_isolation_test batch_service_test \
   vectorized_parity_test wire_codec_test \
-  fault_fs_test chaos_test >/dev/null
+  fault_fs_test chaos_test robustness_test xmlrpc_codec_test >/dev/null
 
 echo "== asan: run =="
 # chaos_test is the bounded chaos seed sweep (tests/chaos_test.cc): the
 # same whole-system harness as bench_ext_chaos on a handful of seeds, so
 # the crash/recover/quarantine paths run under the sanitizer in bounded
 # time. A failing seed appears in the gtest SCOPED_TRACE output.
+# robustness_test mutation-fuzzes the XML-RPC reader and xmlrpc_codec_test
+# drives it with 10^5-deep nesting, so both run under the sanitizer too.
 for t in fault_tolerance_test etl_resume_test integrity_test \
          stage_property_test query_cache_test overload_test \
          tenant_isolation_test batch_service_test \
          vectorized_parity_test wire_codec_test \
-         fault_fs_test chaos_test; do
+         fault_fs_test chaos_test robustness_test xmlrpc_codec_test; do
   echo "-- $t"
   /tmp/griddb_asan/tests/"$t" >/dev/null
 done

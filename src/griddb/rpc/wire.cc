@@ -8,6 +8,7 @@
 
 #include "griddb/engine/column_vector.h"
 #include "griddb/obs/metrics.h"
+#include "griddb/util/limits.h"
 
 namespace griddb::rpc::wire {
 
@@ -231,6 +232,9 @@ struct EncodeCtx {
 
 struct DecodeCtx {
   std::shared_ptr<storage::ResultSet>* stream_slot = nullptr;
+  /// Containers (arrays, structs, row-wise result blocks) enclosing the
+  /// value being decoded; capped at kMaxNestingDepth.
+  int depth = 0;
 };
 
 void EncodeValueImpl(const XmlRpcValue& value, EncodeCtx& ctx,
@@ -331,7 +335,8 @@ void EncodeValueImpl(const XmlRpcValue& value, EncodeCtx& ctx,
 Result<XmlRpcValue> DecodeValueImpl(std::string_view in, size_t* offset,
                                     const DecodeCtx& ctx);
 
-Result<XmlRpcValue> DecodeResultSetTlv(std::string_view in, size_t* offset) {
+Result<XmlRpcValue> DecodeResultSetTlv(std::string_view in, size_t* offset,
+                                       int depth) {
   auto rs = std::make_shared<storage::ResultSet>();
   GRIDDB_ASSIGN_OR_RETURN(rs->columns, ReadSchema(in, offset));
   if (*offset >= in.size()) return Corruption("truncated result-set layout");
@@ -346,6 +351,7 @@ Result<XmlRpcValue> DecodeResultSetTlv(std::string_view in, size_t* offset) {
   GRIDDB_RETURN_IF_ERROR(CheckCount(nrows, in.size() - *offset + 1));
   rs->rows.reserve(nrows);
   DecodeCtx none;
+  none.depth = depth;
   for (uint64_t r = 0; r < nrows; ++r) {
     GRIDDB_ASSIGN_OR_RETURN(uint64_t ncells, ReadVarint(in, offset));
     GRIDDB_RETURN_IF_ERROR(CheckCount(ncells, in.size() - *offset + 1));
@@ -374,8 +380,14 @@ Result<XmlRpcValue> DecodeResultSetTlv(std::string_view in, size_t* offset) {
 
 Result<XmlRpcValue> DecodeValueImpl(std::string_view in, size_t* offset,
                                     const DecodeCtx& ctx) {
+  if (ctx.depth > kMaxNestingDepth) {
+    return ParseError("binary value nested deeper than " +
+                      std::to_string(kMaxNestingDepth) + " levels");
+  }
   if (*offset >= in.size()) return Corruption("truncated binary value");
   uint8_t tag = static_cast<uint8_t>(in[(*offset)++]);
+  DecodeCtx inner = ctx;
+  ++inner.depth;
   switch (tag) {
     case kTagNil:
       return XmlRpcValue();
@@ -404,7 +416,7 @@ Result<XmlRpcValue> DecodeValueImpl(std::string_view in, size_t* offset,
       items.reserve(count);
       for (uint64_t i = 0; i < count; ++i) {
         GRIDDB_ASSIGN_OR_RETURN(XmlRpcValue item,
-                                DecodeValueImpl(in, offset, ctx));
+                                DecodeValueImpl(in, offset, inner));
         items.push_back(std::move(item));
       }
       return XmlRpcValue(std::move(items));
@@ -419,13 +431,13 @@ Result<XmlRpcValue> DecodeValueImpl(std::string_view in, size_t* offset,
         GRIDDB_ASSIGN_OR_RETURN(std::string_view key,
                                 ReadBytes(in, offset, len));
         GRIDDB_ASSIGN_OR_RETURN(XmlRpcValue member,
-                                DecodeValueImpl(in, offset, ctx));
+                                DecodeValueImpl(in, offset, inner));
         record[std::string(key)] = std::move(member);
       }
       return XmlRpcValue(std::move(record));
     }
     case kTagResultSet:
-      return DecodeResultSetTlv(in, offset);
+      return DecodeResultSetTlv(in, offset, inner.depth);
     case kTagStreamStub: {
       if (ctx.stream_slot == nullptr || *ctx.stream_slot != nullptr) {
         return Corruption("unexpected stream stub in binary value");

@@ -11,12 +11,12 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
 #include "griddb/storage/result_set.h"
 #include "griddb/util/status.h"
-#include "griddb/xml/xml.h"
 
 namespace griddb::rpc {
 
@@ -75,14 +75,11 @@ class XmlRpcValue {
     return p ? *p : nullptr;
   }
 
-  /// Serializes this value as a <value>...</value> element.
-  xml::Node ToXml() const;
-  static Result<XmlRpcValue> FromXml(const xml::Node& value_node);
-
   /// Appends this value's compact <value>...</value> serialization to
-  /// `out` directly — no Node tree, no per-cell boxing, escaping only
-  /// where string content can need it. Byte-identical to
-  /// xml::Write(ToXml(), {pretty=false, declaration=false}).
+  /// `out` directly: no document tree, no per-cell boxing, numbers via
+  /// std::to_chars, escaping only where string content can need it. The
+  /// bytes are those of the classic XML-RPC tree writer kept as a test
+  /// oracle in bench/xmlrpc_tree_oracle.h.
   void AppendXml(std::string* out) const;
   /// Upper-bound-ish size estimate for AppendXml (single up-front
   /// reserve; an underestimate merely costs a realloc).
@@ -98,6 +95,9 @@ class XmlRpcValue {
   bool operator==(const XmlRpcValue& other) const;
 
  private:
+  // Reads cells without a Result<> wrapper and copy per cell.
+  friend Result<storage::ResultSet> RpcToResultSet(const XmlRpcValue& value);
+
   std::variant<std::monostate, int64_t, double, bool, std::string, XmlRpcArray,
                XmlRpcStruct, ResultSetPtr>
       data_;

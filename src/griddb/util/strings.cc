@@ -1,10 +1,9 @@
 #include "griddb/util/strings.h"
 
 #include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 
 namespace griddb {
 
@@ -102,24 +101,41 @@ std::string ReplaceAll(std::string_view s, std::string_view from,
   }
 }
 
+namespace {
+
+/// The digits from_chars should see: surrounding whitespace trimmed and
+/// one leading '+' dropped (from_chars accepts neither). Empty when
+/// nothing remains or the '+' is followed by another sign.
+std::string_view NumberText(std::string_view s) {
+  s = Trim(s);
+  if (!s.empty() && s.front() == '+') {
+    s.remove_prefix(1);
+    if (!s.empty() && (s.front() == '-' || s.front() == '+')) return {};
+  }
+  return s;
+}
+
+}  // namespace
+
 bool ParseInt64(std::string_view s, int64_t* out) {
-  std::string buf(Trim(s));
-  if (buf.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  long long v = std::strtoll(buf.c_str(), &end, 10);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
-  *out = static_cast<int64_t>(v);
+  s = NumberText(s);
+  if (s.empty()) return false;
+  int64_t v = 0;
+  auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || end != s.data() + s.size()) return false;
+  *out = v;
   return true;
 }
 
 bool ParseDouble(std::string_view s, double* out) {
-  std::string buf(Trim(s));
-  if (buf.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  double v = std::strtod(buf.c_str(), &end);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
+  s = NumberText(s);
+  if (s.empty()) return false;
+  // from_chars reports result_out_of_range only for overflow and for
+  // underflow all the way to zero; subnormal results parse normally.
+  double v = 0;
+  auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v,
+                                   std::chars_format::general);
+  if (ec != std::errc() || end != s.data() + s.size()) return false;
   *out = v;
   return true;
 }

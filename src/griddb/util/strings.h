@@ -33,9 +33,14 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 std::string ReplaceAll(std::string_view s, std::string_view from,
                        std::string_view to);
 
-/// Parses a whole string as a signed 64-bit integer. Rejects partial parses.
+/// Parses a whole string as a signed 64-bit integer (std::from_chars;
+/// surrounding whitespace and one leading '+' allowed). Rejects partial
+/// parses and values outside int64.
 bool ParseInt64(std::string_view s, int64_t* out);
-/// Parses a whole string as a double. Rejects partial parses.
+/// Parses a whole string as a double (std::from_chars, decimal or
+/// scientific, "inf"/"nan"; surrounding whitespace and one leading '+'
+/// allowed). Subnormals parse; overflow and underflow to zero, partial
+/// parses and hex floats are rejected.
 bool ParseDouble(std::string_view s, double* out);
 
 /// printf-style formatting into a std::string.

@@ -2,6 +2,7 @@
 
 #include <cctype>
 
+#include "griddb/util/limits.h"
 #include "griddb/util/strings.h"
 
 namespace griddb::xml {
@@ -89,7 +90,7 @@ class Parser {
 
   Result<std::unique_ptr<Node>> ParseDocument() {
     SkipProlog();
-    GRIDDB_ASSIGN_OR_RETURN(std::unique_ptr<Node> root, ParseElement());
+    GRIDDB_ASSIGN_OR_RETURN(std::unique_ptr<Node> root, ParseElement(1));
     SkipMisc();
     if (pos_ != input_.size()) {
       return Error("trailing content after document element");
@@ -220,7 +221,11 @@ class Parser {
     return out;
   }
 
-  Result<std::unique_ptr<Node>> ParseElement() {
+  Result<std::unique_ptr<Node>> ParseElement(int depth) {
+    if (depth > kMaxNestingDepth) {
+      return Error("elements nested deeper than " +
+                   std::to_string(kMaxNestingDepth) + " levels");
+    }
     if (!Match("<")) return Error("expected '<'");
     GRIDDB_ASSIGN_OR_RETURN(std::string name, ParseName());
     auto node = std::make_unique<Node>(name);
@@ -274,7 +279,8 @@ class Parser {
         return node;
       }
       if (Peek() == '<') {
-        GRIDDB_ASSIGN_OR_RETURN(std::unique_ptr<Node> child, ParseElement());
+        GRIDDB_ASSIGN_OR_RETURN(std::unique_ptr<Node> child,
+                                ParseElement(depth + 1));
         node->children.push_back(std::move(child));
         continue;
       }

@@ -1,11 +1,11 @@
 // Minimal XML document model, parser and writer.
 //
-// Used for two wire formats in the system: XSpec schema-specification
-// files (paper §4.4) and Clarens-style XML-RPC messages (paper §4.5 / the
-// web-service interface). Supports elements, attributes, character data,
-// comments and the standard five entities. It does not support DTDs,
-// namespaces or processing instructions beyond the XML declaration, which
-// is skipped; none of those appear in either wire format.
+// Used for XSpec schema-specification files (paper §4.4). XML-RPC
+// messages (paper §4.5) have their own one-pass reader and writer in
+// rpc/xmlrpc_value.cc and never build this tree. Supports elements,
+// attributes, character data, comments and the standard five entities.
+// It does not support DTDs, namespaces or processing instructions beyond
+// the XML declaration, which is skipped; XSpec uses none of those.
 #pragma once
 
 #include <map>
@@ -56,6 +56,8 @@ class Node {
 
 /// Parses a complete XML document; returns its root element.
 /// Leading XML declarations, comments and whitespace are skipped.
+/// Elements nested deeper than kMaxNestingDepth (util/limits.h) are a
+/// ParseError rather than unbounded recursion.
 Result<std::unique_ptr<Node>> Parse(std::string_view input);
 
 struct WriteOptions {

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "bench/xmlrpc_tree_oracle.h"
 #include "griddb/core/jclarens_server.h"
 #include "griddb/core/schema_tracker.h"
 #include "griddb/warehouse/etl.h"
@@ -190,21 +191,33 @@ TEST(RpcEdgeTest, UrlNormalizationMatchesVariants) {
 }
 
 TEST(RpcEdgeTest, EmptyValueAndEmptyContainers) {
+  namespace tree = bench::xmlrpc_tree;
   rpc::XmlRpcValue nil;
-  auto round = rpc::XmlRpcValue::FromXml(nil.ToXml());
+  auto round = tree::FromXml(tree::ToXml(nil));
+  ASSERT_TRUE(round.ok());
+  EXPECT_TRUE(round->is_empty());
+  round = rpc::DecodeResponse(rpc::EncodeResponse(nil));
   ASSERT_TRUE(round.ok());
   EXPECT_TRUE(round->is_empty());
 
   rpc::XmlRpcValue empty_array((rpc::XmlRpcArray()));
-  round = rpc::XmlRpcValue::FromXml(empty_array.ToXml());
+  round = tree::FromXml(tree::ToXml(empty_array));
+  ASSERT_TRUE(round.ok());
+  EXPECT_TRUE(round->is_array());
+  EXPECT_TRUE(round->AsArray().value()->empty());
+  round = rpc::DecodeResponse(rpc::EncodeResponse(empty_array));
   ASSERT_TRUE(round.ok());
   EXPECT_TRUE(round->is_array());
   EXPECT_TRUE(round->AsArray().value()->empty());
 
   rpc::XmlRpcValue empty_struct((rpc::XmlRpcStruct()));
-  round = rpc::XmlRpcValue::FromXml(empty_struct.ToXml());
+  round = tree::FromXml(tree::ToXml(empty_struct));
   ASSERT_TRUE(round.ok());
   EXPECT_TRUE(round->is_struct());
+  round = rpc::DecodeResponse(rpc::EncodeResponse(empty_struct));
+  ASSERT_TRUE(round.ok());
+  EXPECT_TRUE(round->is_struct());
+  EXPECT_TRUE(round->AsStruct().value()->empty());
 }
 
 TEST(RpcEdgeTest, EmptyResultSetRoundTrips) {

@@ -138,6 +138,105 @@ TEST(RpcRobustnessTest, HostileRpcDocumentsRejectedCleanly) {
   }
 }
 
+// ---------- XML-RPC decoding of mutated messages ----------
+
+/// Applies 1-4 random edits: byte flips, inserted XML-ish tokens, deleted
+/// and duplicated ranges, truncation.
+std::string Mutate(Rng& rng, std::string doc) {
+  static const char* const kTokens[] = {
+      "<", ">", "/", "</", "/>", "&", ";", "&amp;", "&#", "&#x41;", "&#0;",
+      "<![CDATA[", "]]>", "<!--", "-->", "<value>", "</value>", "<value/>",
+      "<array><data>", "</data></array>", "<struct>", "<member>", "<name>",
+      "<i4>", "</i4>", "<double>", "<string>", "'", "\"", "=", " ", "\n"};
+  constexpr int64_t kTokenCount = sizeof(kTokens) / sizeof(kTokens[0]);
+  int64_t edits = rng.UniformInt(1, 4);
+  for (int64_t e = 0; e < edits && !doc.empty(); ++e) {
+    size_t at = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(doc.size()) - 1));
+    switch (rng.UniformInt(0, 4)) {
+      case 0:
+        doc[at] = static_cast<char>(rng.UniformInt(0, 255));
+        break;
+      case 1:
+        doc.insert(at, kTokens[rng.UniformInt(0, kTokenCount - 1)]);
+        break;
+      case 2:
+        doc.erase(at, static_cast<size_t>(rng.UniformInt(1, 16)));
+        break;
+      case 3: {
+        size_t from = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(doc.size()) - 1));
+        doc.insert(at, doc.substr(from, static_cast<size_t>(
+                                            rng.UniformInt(1, 64))));
+        break;
+      }
+      default:
+        doc.resize(at);
+    }
+  }
+  return doc;
+}
+
+TEST(RpcRobustnessTest, MutatedMessagesDecodeOrFailCleanly) {
+  storage::ResultSet rs;
+  rs.columns = {"id", "e", "tag", " padded "};
+  rs.rows.push_back({storage::Value(int64_t{-7}), storage::Value(0.1),
+                     storage::Value("a<b & 'c'"), storage::Value::Null()});
+  rs.rows.push_back({storage::Value(int64_t{9}), storage::Value(4.9e-324),
+                     storage::Value(true), storage::Value("\tx\n")});
+  rpc::XmlRpcStruct envelope;
+  envelope["result"] = rpc::ResultSetToRpc(rs);
+  envelope["nested"] = rpc::XmlRpcArray{
+      rpc::XmlRpcValue(rpc::XmlRpcStruct{{"k", rpc::XmlRpcValue("v")}}),
+      rpc::XmlRpcValue(rpc::XmlRpcArray{}), rpc::XmlRpcValue(false)};
+  const rpc::XmlRpcValue value(std::move(envelope));
+
+  rpc::RpcRequest request;
+  request.method = "dataaccess.query";
+  request.session_token = "sess-1";
+  request.trace_id = 0xabc;
+  request.parent_span_id = 0xdef;
+  request.deadline_ms = 250.5;
+  request.tenant = "atlas";
+  request.params = {rpc::XmlRpcValue("SELECT 1"), value};
+
+  const std::string seeds[] = {rpc::EncodeRequest(request),
+                               rpc::EncodeResponse(value),
+                               rpc::EncodeFault(NotFound("no table <t>"))};
+  Rng rng(2718);
+  int accepted = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const size_t seed = static_cast<size_t>(trial % 3);
+    const std::string doc = Mutate(rng, seeds[seed]);
+    // Whatever the reader accepts must re-encode to a fixed point; what
+    // it refuses is a ParseError (or, for a fault, the carried status).
+    auto decoded_request = rpc::DecodeRequest(doc);
+    if (decoded_request.ok()) {
+      ++accepted;
+      const std::string once = rpc::EncodeRequest(*decoded_request);
+      auto again = rpc::DecodeRequest(once);
+      ASSERT_TRUE(again.ok()) << doc;
+      EXPECT_EQ(rpc::EncodeRequest(*again), once) << doc;
+    } else {
+      EXPECT_EQ(decoded_request.status().code(), StatusCode::kParseError)
+          << doc;
+    }
+    auto decoded_response = rpc::DecodeResponse(doc);
+    if (decoded_response.ok()) {
+      ++accepted;
+      const std::string once = rpc::EncodeResponse(*decoded_response);
+      auto again = rpc::DecodeResponse(once);
+      ASSERT_TRUE(again.ok()) << doc;
+      EXPECT_EQ(rpc::EncodeResponse(*again), once) << doc;
+    } else if (seed != 2) {
+      EXPECT_EQ(decoded_response.status().code(), StatusCode::kParseError)
+          << doc;
+    }
+  }
+  // Some mutations (inside string content, say) leave a valid message.
+  EXPECT_GT(accepted, 0);
+}
+
 // ---------- XSpec documents ----------
 
 TEST(XSpecRobustnessTest, HostileXSpecsRejected) {

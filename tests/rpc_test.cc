@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "bench/xmlrpc_tree_oracle.h"
 #include "griddb/rpc/server.h"
 #include "griddb/rpc/xmlrpc_value.h"
 
@@ -13,10 +14,14 @@ TEST(XmlRpcValueTest, ScalarRoundTrip) {
        {XmlRpcValue(int64_t{-42}), XmlRpcValue(3.25), XmlRpcValue(true),
         XmlRpcValue(false), XmlRpcValue("hello <world> & 'friends'"),
         XmlRpcValue()}) {
-    auto node = original.ToXml();
-    auto decoded = XmlRpcValue::FromXml(node);
+    auto node = bench::xmlrpc_tree::ToXml(original);
+    auto decoded = bench::xmlrpc_tree::FromXml(node);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     EXPECT_TRUE(*decoded == original);
+    // The one-pass codec round-trips the same values.
+    auto direct = DecodeResponse(EncodeResponse(original));
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    EXPECT_TRUE(*direct == original);
   }
 }
 
@@ -29,12 +34,17 @@ TEST(XmlRpcValueTest, NestedArrayAndStruct) {
   array.emplace_back(std::move(inner));
   XmlRpcValue original((XmlRpcArray(std::move(array))));
 
-  auto decoded = XmlRpcValue::FromXml(original.ToXml());
+  auto decoded =
+      bench::xmlrpc_tree::FromXml(bench::xmlrpc_tree::ToXml(original));
   ASSERT_TRUE(decoded.ok());
   const XmlRpcArray* items = decoded->AsArray().value();
   ASSERT_EQ(items->size(), 2u);
   EXPECT_EQ((*items)[0].AsString().value(), "first");
   EXPECT_EQ((*items)[1].Member("count").value()->AsInt().value(), 3);
+
+  auto direct = DecodeResponse(EncodeResponse(original));
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  EXPECT_TRUE(*direct == original);
 }
 
 TEST(XmlRpcValueTest, TypeAccessorsEnforce) {

@@ -2,8 +2,11 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -154,6 +157,57 @@ TEST(StringsTest, ParseDouble) {
   EXPECT_TRUE(ParseDouble("3.25e2", &v));
   EXPECT_DOUBLE_EQ(v, 325.0);
   EXPECT_FALSE(ParseDouble("abc", &v));
+}
+
+TEST(StringsTest, ParseInt64BoundsAndSigns) {
+  int64_t v = 0;
+  EXPECT_TRUE(ParseInt64("9223372036854775807", &v));
+  EXPECT_EQ(v, INT64_MAX);
+  EXPECT_TRUE(ParseInt64("-9223372036854775808", &v));
+  EXPECT_EQ(v, INT64_MIN);
+  EXPECT_FALSE(ParseInt64("9223372036854775808", &v));
+  EXPECT_FALSE(ParseInt64("-9223372036854775809", &v));
+  EXPECT_TRUE(ParseInt64("+12", &v));
+  EXPECT_EQ(v, 12);
+  EXPECT_FALSE(ParseInt64("+-12", &v));
+  EXPECT_FALSE(ParseInt64("++12", &v));
+  EXPECT_FALSE(ParseInt64("+", &v));
+  EXPECT_FALSE(ParseInt64("1 2", &v));
+  EXPECT_FALSE(ParseInt64("1.0", &v));
+  EXPECT_EQ(v, 12);  // a rejected parse leaves the output untouched
+}
+
+TEST(StringsTest, ParseDoubleSubnormalsOverflowAndJunk) {
+  double v = 0;
+  // Subnormals are ordinary finite values, not range errors.
+  EXPECT_TRUE(ParseDouble("4.9406564584124654e-324", &v));
+  EXPECT_EQ(v, std::numeric_limits<double>::denorm_min());
+  EXPECT_TRUE(ParseDouble("1e-310", &v));
+  EXPECT_GT(v, 0);
+  EXPECT_LT(v, std::numeric_limits<double>::min());
+  EXPECT_TRUE(ParseDouble("2.2250738585072014e-308", &v));
+  EXPECT_EQ(v, std::numeric_limits<double>::min());
+  EXPECT_TRUE(ParseDouble("1.7976931348623157e+308", &v));
+  EXPECT_EQ(v, std::numeric_limits<double>::max());
+  // Overflow and underflow all the way to zero stay errors.
+  EXPECT_FALSE(ParseDouble("1e999", &v));
+  EXPECT_FALSE(ParseDouble("-1e999", &v));
+  EXPECT_FALSE(ParseDouble("1e-400", &v));
+  // Trailing junk, empty input and doubled signs are rejected.
+  EXPECT_FALSE(ParseDouble("1.5x", &v));
+  EXPECT_FALSE(ParseDouble("1.5 2", &v));
+  EXPECT_FALSE(ParseDouble("", &v));
+  EXPECT_FALSE(ParseDouble("   ", &v));
+  EXPECT_FALSE(ParseDouble("+-1", &v));
+  // Signs, whitespace and the printf spellings of the special values.
+  EXPECT_TRUE(ParseDouble(" +2.5 ", &v));
+  EXPECT_EQ(v, 2.5);
+  EXPECT_TRUE(ParseDouble("-0", &v));
+  EXPECT_TRUE(std::signbit(v));
+  EXPECT_TRUE(ParseDouble("-inf", &v));
+  EXPECT_TRUE(std::isinf(v) && v < 0);
+  EXPECT_TRUE(ParseDouble("nan", &v));
+  EXPECT_TRUE(std::isnan(v));
 }
 
 TEST(StringsTest, StrFormat) {

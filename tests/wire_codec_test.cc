@@ -12,13 +12,13 @@
 #include <string>
 #include <vector>
 
+#include "bench/xmlrpc_tree_oracle.h"
 #include "griddb/core/jclarens_server.h"
 #include "griddb/net/fault.h"
 #include "griddb/obs/metrics.h"
 #include "griddb/rpc/server.h"
 #include "griddb/rpc/wire.h"
 #include "griddb/util/rng.h"
-#include "griddb/xml/xml.h"
 
 namespace griddb::rpc {
 namespace {
@@ -489,15 +489,11 @@ TEST(ColumnarBlockTest, HugeRowCountInTinyFrameRejectsBeforeExpanding) {
 
 TEST(ByteIdentityTest, FastPathMatchesTreeWriterExactly) {
   // The pre-binary encoder, verbatim: generic XML writer over a
-  // methodResponse tree. EncodeResponse (and the native result-set
-  // value variant) must keep producing these exact bytes.
+  // methodResponse tree (bench/xmlrpc_tree_oracle.h). EncodeResponse
+  // (and the native result-set value variant) must keep producing these
+  // exact bytes.
   auto tree_writer = [](const XmlRpcValue& value) {
-    xml::Node root("methodResponse");
-    xml::Node& param = root.AddChild("params").AddChild("param");
-    param.children.push_back(std::make_unique<xml::Node>(value.ToXml()));
-    xml::WriteOptions options;
-    options.pretty = false;
-    return xml::Write(root, options);
+    return bench::xmlrpc_tree::EncodeResponse(value);
   };
 
   Rng rng(31);
