@@ -5,8 +5,8 @@
 // the chunk scan, a filtered scan, the Table 1 4-way equi join, a grouped
 // aggregate, and the Fig 6-style wide-ntuple scan. The vectorized path is
 // swept across batch sizes 1..4096 to show where batching pays; the
-// reference path (ExecuteSelectReferenceRows) is the baseline — it is the
-// executor every result was produced by before this change.
+// row-at-a-time executor it replaced, kept as the parity oracle in
+// bench/row_executor_oracle.h, is the baseline.
 //
 // Acceptance (wired into scripts/check.sh, see EXPERIMENTS.md):
 //   - cold 4-way join >= 3x faster vectorized (default 1024-row batches);
@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/row_executor_oracle.h"
 #include "griddb/engine/select_executor.h"
 #include "griddb/sql/parser.h"
 #include "griddb/util/rng.h"
@@ -161,7 +162,8 @@ int main(int argc, char** argv) {
       std::vector<double> times;
       for (int it = 0; it < kIterations; ++it) {
         Stopwatch sw;
-        auto rs = engine::ExecuteSelectReferenceRows(**stmt, source);
+        auto rs = bench::row_executor::ExecuteSelectReferenceRows(**stmt,
+                                                                  source);
         if (!rs.ok()) {
           std::fprintf(stderr, "reference %s failed: %s\n", kShapes[s].name,
                        rs.status().ToString().c_str());

@@ -1,19 +1,23 @@
 #!/usr/bin/env bash
-# Tier-1 gate plus the robustness suites under ASan/TSan and the query
-# cache perf gate.
+# Every gate in one run: the docs gates, the tier-1 build and ctest
+# under both wire codecs, the perf gates, the crash-point and chaos
+# sweeps, and the robustness suites under ASan and TSan.
 #
-#   scripts/check.sh            # build + ctest + sanitizers + cache bench
-#   scripts/check.sh --fast     # build + full ctest only
+#   scripts/check.sh            # everything below
+#   scripts/check.sh --fast     # docs gates + build + both ctest legs
 #
 # The tier-1 contract (ROADMAP.md): `cmake -B build -S . && cmake --build
-# build -j && ctest` must pass. On top of that, the fault-injection and
+# build -j && ctest` must pass. The perf gates each run one bench that
+# exits non-zero when its bound fails and rewrites its checked-in
+# BENCH_*.json, so git history is the perf trajectory: query cache,
+# overload, tenant isolation, batch service, vectorized executor, wire
+# protocol and XML-RPC codec. On top of that, the fault-injection and
 # integrity tests exercise enough pointer-heavy recovery paths (manifest
-# rewrites, quarantine swaps, mid-run aborts) that they are worth a
-# second run under AddressSanitizer, and the query cache is hammered
-# under ThreadSanitizer because it sits on the parallel sub-query
-# fan-out. The cache bench is a perf gate: warm repeat queries must stay
-# >= 5x faster than cold, and the cold path must stay byte-identical to
-# a cache-disabled server (results land in BENCH_query_cache.json).
+# rewrites, quarantine swaps, mid-run aborts), and the codec fuzzers
+# enough untrusted bytes, that they are worth a second run under
+# AddressSanitizer; the concurrent suites (query cache on the parallel
+# sub-query fan-out, admission, tenants, batch jobs, executor) run under
+# ThreadSanitizer.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -41,6 +45,9 @@ if [[ "${1:-}" == "--fast" ]]; then
 fi
 
 echo "== perf gate: query cache bench =="
+# Warm repeat queries must stay >= 5x faster than cold, and the cold path
+# must stay byte-identical to a cache-disabled server (results land in
+# BENCH_query_cache.json).
 ./build/bench/bench_ext_query_cache BENCH_query_cache.json
 
 echo "== perf gate: overload / admission control bench =="
@@ -54,8 +61,9 @@ echo "== perf gate: batch service bench =="
 
 echo "== perf gate: vectorized executor bench =="
 # Cold 4-way join and the wide-ntuple scan must stay >= 3x faster than
-# the retained row-at-a-time reference path, with byte-identical output
-# on every shape/batch size (results land in BENCH_vectorized.json).
+# the row-at-a-time oracle (bench/row_executor_oracle.h), with
+# byte-identical output on every shape/batch size (results land in
+# BENCH_vectorized.json).
 ./build/bench/bench_ext_vectorized BENCH_vectorized.json
 
 echo "== perf gate: wire protocol bench =="
@@ -110,8 +118,9 @@ echo "== asan: run =="
 # same whole-system harness as bench_ext_chaos on a handful of seeds, so
 # the crash/recover/quarantine paths run under the sanitizer in bounded
 # time. A failing seed appears in the gtest SCOPED_TRACE output.
-# robustness_test mutation-fuzzes the XML-RPC reader and xmlrpc_codec_test
-# drives it with 10^5-deep nesting, so both run under the sanitizer too.
+# robustness_test mutation-fuzzes the XML-RPC reader and the binary value
+# decoder, and xmlrpc_codec_test drives the reader with 10^5-deep
+# nesting, so both run under the sanitizer too.
 for t in fault_tolerance_test etl_resume_test integrity_test \
          stage_property_test query_cache_test overload_test \
          tenant_isolation_test batch_service_test \

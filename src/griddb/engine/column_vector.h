@@ -9,7 +9,7 @@
 // legally yield INT64 for even rows and DOUBLE for odd ones — degrade to
 // a boxed `std::vector<Value>` payload (Rep::kValue); kernels then fall
 // back to the exact scalar semantics elementwise, which is what keeps
-// vectorized output byte-identical to the reference row executor.
+// vectorized output byte-identical to the row-at-a-time oracle.
 //
 // A RowBatch is a set of equally-sized ColumnVectors; the executor
 // streams batches of ExecOptions::batch_rows (default 1024) rows between

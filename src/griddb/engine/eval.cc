@@ -12,11 +12,6 @@ using storage::DataType;
 using storage::Row;
 using storage::Value;
 
-void Scope::AddResultSet(const std::string& qualifier,
-                         const storage::ResultSet& rs) {
-  for (const std::string& col : rs.columns) Add(qualifier, col);
-}
-
 void Scope::AddColumns(const std::string& qualifier,
                        const std::vector<std::string>& columns) {
   for (const std::string& col : columns) Add(qualifier, col);

@@ -5,12 +5,13 @@
 // semantics: any NULL operand propagates NULL through arithmetic and
 // comparisons, and WHERE treats NULL as false.
 //
-// The same scalar kernels back both executors (DESIGN.md §15): the
-// row-at-a-time reference path calls Eval over storage::Row, and the
-// vectorized path calls the RowBatch overload for its elementwise
-// fallback plus CombineScalarNode / AggregateValues when it combines
-// per-group results. Because the kernels are shared, the two executors
-// cannot diverge on scalar semantics.
+// The same scalar kernels back the executor and its row-at-a-time parity
+// oracle (DESIGN.md §15, bench/row_executor_oracle.h): the oracle calls
+// Eval and EvalGrouped over storage::Row, and the vectorized executor
+// calls the RowBatch overload for its elementwise fallback plus
+// CombineScalarNode / AggregateValues when it combines per-group
+// results. Because the kernels are shared, the two cannot diverge on
+// scalar semantics.
 #pragma once
 
 #include <string>
@@ -32,10 +33,6 @@ class Scope {
   void Add(std::string qualifier, std::string column) {
     entries_.push_back({std::move(qualifier), std::move(column)});
   }
-
-  /// Appends every column of `rs` under `qualifier`.
-  void AddResultSet(const std::string& qualifier,
-                    const storage::ResultSet& rs);
 
   /// Appends `columns` under `qualifier`.
   void AddColumns(const std::string& qualifier,

@@ -1,6 +1,6 @@
-// Helpers shared by the reference row executor (select_executor.cc) and
-// the vectorized executor (vector_executor.cc). Everything here is
-// semantics the two paths must agree on exactly: star expansion, output
+// Helpers shared by the vectorized executor (vector_executor.cc) and the
+// row-at-a-time parity oracle (bench/row_executor_oracle.h). Everything
+// here is semantics the two must agree on exactly: star expansion, output
 // naming, equi-join detection, DISTINCT dedupe, OFFSET/LIMIT slicing and
 // ORDER BY comparison. Internal to the engine — not part of its API.
 #pragma once
@@ -60,14 +60,5 @@ void SortRowsByKeys(const sql::SelectStmt& stmt,
                     const std::vector<std::vector<storage::Value>>& order_keys,
                     std::vector<storage::Row>& rows,
                     std::optional<size_t> top_k);
-
-/// The vectorized executor (vector_executor.cc). Sets `unsupported` and
-/// returns an empty result when the source yields rows the columnar form
-/// cannot represent (narrower than the scope) — the caller then reruns
-/// the reference path, whose semantics are authoritative there.
-Result<storage::ResultSet> ExecuteSelectVectorized(const sql::SelectStmt& stmt,
-                                                   const TableSource& source,
-                                                   const ExecOptions& opts,
-                                                   bool& unsupported);
 
 }  // namespace griddb::engine::internal

@@ -5,15 +5,14 @@
 // driver's middleware-side join of per-mart partial results, and inside
 // warehouse view materialization.
 //
-// Two implementations share one contract (DESIGN.md §15): the default
-// vectorized executor processes columnar batches of ExecOptions::
-// batch_rows rows (typed ColumnVector payloads, hash join and hash
-// aggregation by gather, top-K ORDER BY under LIMIT), while
-// ExecuteSelectReferenceRows retains the row-at-a-time path as the
-// byte-identical reference for the parity suite, the speedup baseline
-// for bench_ext_vectorized, and the fallback for inputs the columnar
-// form cannot represent (ragged rows). ResultSet stays the wire-facing
-// boundary: fault-free outputs are byte-identical across both.
+// Execution is vectorized (DESIGN.md §15): columnar batches of
+// ExecOptions::batch_rows rows (typed ColumnVector payloads, hash join
+// and hash aggregation by gather, top-K ORDER BY under LIMIT). Its
+// specification is the row-at-a-time executor kept as a parity oracle in
+// bench/row_executor_oracle.h; fault-free outputs are byte-identical to
+// it. Every ResultSet is rectangular (each row as wide as its column
+// list): the rpc layer checks that where rows arrive from a peer, so no
+// table source yields a row of another width.
 #pragma once
 
 #include <optional>
@@ -41,21 +40,11 @@ class TableSource {
   virtual ~TableSource() = default;
   virtual Result<storage::ResultSet> GetTable(const std::string& name) const = 0;
   /// Borrowing variant: a source holding materialized tables returns a
-  /// pointer (stable for the duration of the ExecuteSelect call) so the
-  /// executor can read rows in place instead of copying the whole
-  /// ResultSet. Default: not available, the executor falls back to
-  /// GetTable.
-  virtual const storage::ResultSet* FindTable(const std::string& name) const {
-    (void)name;
-    return nullptr;
-  }
-  /// Borrowing variant for sources whose tables are materialized but not
-  /// shaped as ResultSet (Database's storage tables). Defaults to
-  /// adapting FindTable.
+  /// view (its rows stable for the duration of the ExecuteSelect call) so
+  /// the executor can read rows in place instead of copying the whole
+  /// table. Default: not available, the executor falls back to GetTable.
   virtual std::optional<TableView> BorrowTable(const std::string& name) const {
-    if (const storage::ResultSet* rs = FindTable(name)) {
-      return TableView{rs->columns, &rs->rows};
-    }
+    (void)name;
     return std::nullopt;
   }
 };
@@ -66,7 +55,7 @@ class MapTableSource : public TableSource {
  public:
   void Add(std::string name, storage::ResultSet rs);
   Result<storage::ResultSet> GetTable(const std::string& name) const override;
-  const storage::ResultSet* FindTable(const std::string& name) const override;
+  std::optional<TableView> BorrowTable(const std::string& name) const override;
 
  private:
   std::vector<std::pair<std::string, storage::ResultSet>> tables_;
@@ -75,13 +64,10 @@ class MapTableSource : public TableSource {
 /// Execution knobs.
 struct ExecOptions {
   /// Checked once per batch inside scan/join/filter/group/projection
-  /// loops (the reference path checks every batch_rows-th row — same
-  /// cadence). Null keeps the loops check-free.
+  /// loops. Null keeps the loops check-free.
   const CancelToken* cancel = nullptr;
   /// Rows per columnar batch; also the cancellation-check cadence.
   size_t batch_rows = 1024;
-  /// When false, runs the retained row-at-a-time reference path.
-  bool use_vectorized = true;
 };
 
 /// Executes a SELECT against `source`. Joins, WHERE, GROUP BY/HAVING,
@@ -95,13 +81,5 @@ Result<storage::ResultSet> ExecuteSelect(const sql::SelectStmt& stmt,
 Result<storage::ResultSet> ExecuteSelect(const sql::SelectStmt& stmt,
                                          const TableSource& source,
                                          const CancelToken* cancel);
-
-/// The retained row-at-a-time executor. Kept as the parity reference and
-/// bench baseline; also the fallback when a source yields rows the
-/// columnar form cannot represent. Semantics are identical to the
-/// vectorized path on every fault-free input.
-Result<storage::ResultSet> ExecuteSelectReferenceRows(
-    const sql::SelectStmt& stmt, const TableSource& source,
-    const CancelToken* cancel = nullptr);
 
 }  // namespace griddb::engine

@@ -8,14 +8,15 @@
 // GROUP BY hashes key vectors to insertion-ordered groups and finalizes
 // aggregates through the same AggregateValues the row path uses; ORDER BY
 // with LIMIT runs top-K selection instead of a full sort. Cancellation is
-// checked once per chunk — the same cadence as the reference executor's
-// every-1024th-row probe.
+// checked once per chunk.
 //
 // Parity contract: on fault-free inputs the emitted ResultSet is
-// byte-identical to ExecuteSelectReferenceRows. Anything the columnar
-// form cannot evaluate identically falls back — per expression to the
-// shared scalar kernels (vector_eval.cc), or per query to the reference
-// executor when a source yields ragged rows.
+// byte-identical to the row-at-a-time oracle in
+// bench/row_executor_oracle.h. Expressions the columnar form cannot
+// evaluate identically fall back to the shared scalar kernels
+// (vector_eval.cc). Input tables are rectangular (select_executor.h); a
+// row of another width is a program bug and fails the query with
+// kInternal where the row is read.
 #include <algorithm>
 #include <functional>
 #include <list>
@@ -29,16 +30,23 @@
 #include "griddb/obs/metrics.h"
 #include "griddb/util/strings.h"
 
-namespace griddb::engine::internal {
+namespace griddb::engine {
 namespace {
 
+using internal::ApplyOffsetLimit;
+using internal::CheckDuplicateTables;
+using internal::DedupeRows;
+using internal::DetectEquiJoin;
+using internal::EquiJoinKey;
+using internal::ExpandStars;
+using internal::SortRowsByKeys;
+using internal::StatementHasAggregate;
 using storage::ResultSet;
 using storage::Row;
 using storage::Value;
 
 struct EngineMetrics {
   obs::Counter* vectorized_queries;
-  obs::Counter* fallbacks;
   obs::Counter* batches;
   obs::Gauge* batch_bytes_peak;
 };
@@ -47,8 +55,6 @@ EngineMetrics& Metrics() {
   static EngineMetrics m{
       obs::MetricsRegistry::Default().GetCounter(
           "griddb.engine.vectorized_queries"),
-      obs::MetricsRegistry::Default().GetCounter(
-          "griddb.engine.reference_fallbacks"),
       obs::MetricsRegistry::Default().GetCounter("griddb.engine.batches"),
       obs::MetricsRegistry::Default().GetGauge(
           "griddb.engine.batch_bytes_peak"),
@@ -100,13 +106,17 @@ class TableLender {
   std::list<ResultSet> owned_;  // list: growth keeps row pointers stable
 };
 
-/// Columnarizes `rows` into chunks of at most `batch_rows`. Any row whose
-/// width differs from `width` flips `ragged`: the columnar form cannot
-/// reproduce the row path's access-dependent semantics there, so the
-/// caller aborts to the reference executor.
+/// kInternal for row `r` of a table whose rows should all be `width` wide.
+Status WidthMismatch(size_t r, size_t got, size_t width) {
+  return Internal("table row " + std::to_string(r) + " has " +
+                  std::to_string(got) + " cells for " + std::to_string(width) +
+                  " columns");
+}
+
+/// Columnarizes `rows` into chunks of at most `batch_rows`.
 Status Columnarize(const std::vector<Row>& rows, size_t width,
                    size_t batch_rows, const CancelToken* cancel,
-                   std::vector<RowBatch>& out, bool& ragged) {
+                   std::vector<RowBatch>& out) {
   for (size_t start = 0; start < rows.size(); start += batch_rows) {
     GRIDDB_RETURN_IF_ERROR(CheckCancel(cancel));
     size_t len = std::min(batch_rows, rows.size() - start);
@@ -115,10 +125,7 @@ Status Columnarize(const std::vector<Row>& rows, size_t width,
     for (ColumnVector& col : batch.cols) col.Reserve(len);
     for (size_t r = start; r < start + len; ++r) {
       const Row& row = rows[r];
-      if (row.size() != width) {
-        ragged = true;
-        return Status::Ok();
-      }
+      if (row.size() != width) return WidthMismatch(r, row.size(), width);
       for (size_t c = 0; c < width; ++c) batch.cols[c].Append(row[c]);
     }
     batch.rows = len;
@@ -130,17 +137,14 @@ Status Columnarize(const std::vector<Row>& rows, size_t width,
 /// Columnarizes a whole table into ONE batch (the join build side needs a
 /// single gather target spanning every build row).
 Status ColumnarizeWhole(const TableView& view, const CancelToken* cancel,
-                        RowBatch& out, bool& ragged) {
+                        RowBatch& out) {
   size_t width = view.columns.size();
   out.cols.resize(width);
   for (ColumnVector& col : out.cols) col.Reserve(view.rows->size());
   for (size_t r = 0; r < view.rows->size(); ++r) {
     if (r % 4096 == 0) GRIDDB_RETURN_IF_ERROR(CheckCancel(cancel));
     const Row& row = (*view.rows)[r];
-    if (row.size() != width) {
-      ragged = true;
-      return Status::Ok();
-    }
+    if (row.size() != width) return WidthMismatch(r, row.size(), width);
     for (size_t c = 0; c < width; ++c) out.cols[c].Append(row[c]);
   }
   out.rows = view.rows->size();
@@ -148,22 +152,19 @@ Status ColumnarizeWhole(const TableView& view, const CancelToken* cancel,
 }
 
 /// Hash join / nested-loop join of `right` into `ws`, columnar.
-/// Output row order matches the reference executor exactly: probe rows in
+/// Output row order matches the row oracle exactly: probe rows in
 /// working-set order, duplicate-key matches in build insertion order,
 /// LEFT-join padding immediately after each unmatched probe row.
 Status JoinIntoVec(VecWorkingSet& ws, const std::string& qualifier,
                    const TableView& right_view, sql::JoinType type,
-                   const sql::Expr* on, const ExecOptions& opts,
-                   bool& ragged) {
+                   const sql::Expr* on, const ExecOptions& opts) {
   Scope incoming_scope;
   incoming_scope.AddColumns(qualifier, right_view.columns);
   Scope combined = ws.scope;
   combined.AddColumns(qualifier, right_view.columns);
 
   RowBatch right;
-  GRIDDB_RETURN_IF_ERROR(
-      ColumnarizeWhole(right_view, opts.cancel, right, ragged));
-  if (ragged) return Status::Ok();
+  GRIDDB_RETURN_IF_ERROR(ColumnarizeWhole(right_view, opts.cancel, right));
 
   size_t left_width = ws.width();
   size_t right_width = right_view.columns.size();
@@ -178,13 +179,13 @@ Status JoinIntoVec(VecWorkingSet& ws, const std::string& qualifier,
 
   if (key) {
     // Build: key -> build-row indices in insertion order (same structure
-    // as the reference hash join, so duplicate-key emit order matches).
+    // as the row oracle's hash join, so duplicate-key emit order matches).
     // When every key column involved is int64 the table is keyed by the
     // raw integer — no Value boxing or variant hashing per probe. Exact
     // because int64/int64 equality IS Value::Compare for that type pair;
     // any other representation (doubles, mixed/boxed columns) keeps the
     // Value-keyed table, which matches cross-type numeric keys the same
-    // way the reference executor's does.
+    // way the row oracle's does.
     const ColumnVector& build_col = right.cols[key->new_index];
     auto int_keyed = [](const ColumnVector& col) {
       return col.rep() == ColumnVector::Rep::kInt64 ||
@@ -520,7 +521,7 @@ Result<std::vector<Value>> EvalGroupedVec(
 /// After HAVING drops groups, gathers the surviving groups' rows into new
 /// chunks (preserving row order) and remaps member coordinates, so the
 /// projection and ORDER BY aggregate arguments are evaluated over exactly
-/// the rows the reference executor evaluates them over.
+/// the rows the row oracle evaluates them over.
 void GatherSurvivors(const std::vector<RowBatch>& chunks,
                      const std::vector<GroupMembers>& members,
                      const std::vector<size_t>& survivors,
@@ -558,10 +559,10 @@ void GatherSurvivors(const std::vector<RowBatch>& chunks,
 /// Fast path for plain projections of a single table (no joins, WHERE,
 /// grouping, ordering or DISTINCT): resolve each output column once, then
 /// copy only the rows LIMIT/OFFSET keeps. This is the ntuple-scan shape —
-/// the reference path re-resolves every column name for every row.
+/// the row oracle re-resolves every column name for every row.
 Result<std::optional<ResultSet>> TryFastScan(
     const sql::SelectStmt& stmt, const TableView& view,
-    const ExecOptions& opts, bool& ragged) {
+    const ExecOptions& opts) {
   Scope scope;
   scope.AddColumns(stmt.from[0].EffectiveName(), view.columns);
   std::vector<sql::SelectItem> items;
@@ -600,17 +601,6 @@ Result<std::optional<ResultSet>> TryFastScan(
     if (idx != i) identity = false;
   }
 
-  // The reference path projects every row before OFFSET/LIMIT, so rows
-  // narrower than the scope error even when sliced away. Exact-width is
-  // all the columnar form handles; anything else goes to the reference.
-  for (size_t r = 0; r < rows.size(); ++r) {
-    if (r % 4096 == 0) GRIDDB_RETURN_IF_ERROR(CheckCancel(opts.cancel));
-    if (rows[r].size() != width) {
-      ragged = true;
-      return std::optional<ResultSet>(ResultSet{});
-    }
-  }
-
   size_t start = 0, end = rows.size();
   if (stmt.offset && *stmt.offset > 0) {
     start = std::min<size_t>(end, static_cast<size_t>(*stmt.offset));
@@ -620,6 +610,7 @@ Result<std::optional<ResultSet>> TryFastScan(
   }
 
   if (identity) {
+    GRIDDB_RETURN_IF_ERROR(CheckCancel(opts.cancel));
     out.rows.assign(rows.begin() + static_cast<long>(start),
                     rows.begin() + static_cast<long>(end));
     return std::optional<ResultSet>(std::move(out));
@@ -628,6 +619,9 @@ Result<std::optional<ResultSet>> TryFastScan(
   for (size_t r = start; r < end; ++r) {
     if ((r - start) % 4096 == 0) {
       GRIDDB_RETURN_IF_ERROR(CheckCancel(opts.cancel));
+    }
+    if (rows[r].size() != width) {
+      return WidthMismatch(r, rows[r].size(), width);
     }
     Row projected;
     projected.reserve(slots.size());
@@ -686,27 +680,19 @@ Result<std::vector<const VectorRef*>> OrderKeyRefs(
 
 }  // namespace
 
-Result<ResultSet> ExecuteSelectVectorized(const sql::SelectStmt& stmt,
-                                          const TableSource& source,
-                                          const ExecOptions& opts,
-                                          bool& unsupported) {
-  unsupported = false;
+Result<ResultSet> ExecuteSelect(const sql::SelectStmt& stmt,
+                                const TableSource& source,
+                                const ExecOptions& opts) {
   if (stmt.from.empty()) return InvalidArgument("SELECT requires FROM");
   GRIDDB_RETURN_IF_ERROR(CheckDuplicateTables(stmt));
 
   TableLender lender(source);
-  bool ragged = false;
 
   // Plain single-table scans skip columnarization entirely.
   if (IsPlainScanShape(stmt)) {
     GRIDDB_ASSIGN_OR_RETURN(TableView view, lender.Borrow(stmt.from[0].table));
     GRIDDB_ASSIGN_OR_RETURN(std::optional<ResultSet> fast,
-                            TryFastScan(stmt, view, opts, ragged));
-    if (ragged) {
-      unsupported = true;
-      Metrics().fallbacks->Add(1);
-      return ResultSet{};
-    }
+                            TryFastScan(stmt, view, opts));
     if (fast) {
       Metrics().vectorized_queries->Add(1);
       return std::move(*fast);
@@ -720,27 +706,19 @@ Result<ResultSet> ExecuteSelectVectorized(const sql::SelectStmt& stmt,
     ws.scope.AddColumns(stmt.from[0].EffectiveName(), view.columns);
     GRIDDB_RETURN_IF_ERROR(Columnarize(*view.rows, view.columns.size(),
                                        opts.batch_rows, opts.cancel,
-                                       ws.chunks, ragged));
+                                       ws.chunks));
     ws.total_rows = view.rows->size();
     ws.TrackPeak();
   }
-  for (size_t i = 1; i < stmt.from.size() && !ragged; ++i) {
+  for (size_t i = 1; i < stmt.from.size(); ++i) {
     GRIDDB_ASSIGN_OR_RETURN(TableView view, lender.Borrow(stmt.from[i].table));
     GRIDDB_RETURN_IF_ERROR(JoinIntoVec(ws, stmt.from[i].EffectiveName(), view,
-                                       sql::JoinType::kCross, nullptr, opts,
-                                       ragged));
+                                       sql::JoinType::kCross, nullptr, opts));
   }
-  for (size_t i = 0; i < stmt.joins.size() && !ragged; ++i) {
-    const sql::Join& join = stmt.joins[i];
+  for (const sql::Join& join : stmt.joins) {
     GRIDDB_ASSIGN_OR_RETURN(TableView view, lender.Borrow(join.table.table));
     GRIDDB_RETURN_IF_ERROR(JoinIntoVec(ws, join.table.EffectiveName(), view,
-                                       join.type, join.on.get(), opts,
-                                       ragged));
-  }
-  if (ragged) {
-    unsupported = true;
-    Metrics().fallbacks->Add(1);
-    return ResultSet{};
+                                       join.type, join.on.get(), opts));
   }
 
   if (stmt.where) {
@@ -755,7 +733,7 @@ Result<ResultSet> ExecuteSelectVectorized(const sql::SelectStmt& stmt,
   bool has_order = !stmt.order_by.empty();
   // Top-K is safe when the row count is capped and DISTINCT will not
   // change it afterwards; ties break on row index, so the selected prefix
-  // equals the reference's stable-sort prefix.
+  // equals the row oracle's stable-sort prefix.
   std::optional<size_t> top_k;
   if (has_order && stmt.limit && *stmt.limit >= 0 && !stmt.distinct) {
     size_t k = static_cast<size_t>(*stmt.limit);
@@ -773,7 +751,7 @@ Result<ResultSet> ExecuteSelectVectorized(const sql::SelectStmt& stmt,
 
     // HAVING filters whole groups before any projection work, so select
     // items are never evaluated over a dropped group's rows (the
-    // reference never evaluates them there either).
+    // row oracle never evaluates them there either).
     std::vector<RowBatch>* chunks = &ws.chunks;
     std::vector<GroupMembers>* members = &groups.members;
     std::vector<RowBatch> surviving_chunks;
@@ -911,4 +889,4 @@ Result<ResultSet> ExecuteSelectVectorized(const sql::SelectStmt& stmt,
   return out;
 }
 
-}  // namespace griddb::engine::internal
+}  // namespace griddb::engine

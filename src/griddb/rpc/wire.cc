@@ -189,12 +189,13 @@ Status CheckCount(uint64_t n, size_t remaining_bytes) {
   return Status::Ok();
 }
 
-bool RowsAreRectangular(const storage::ResultSet& rs) {
-  for (const storage::Row& row : rs.rows) {
-    if (row.size() != rs.columns.size()) return false;
-  }
-  return true;
-}
+// Result-set layout bytes. Columnar is the only layout: it is
+// rectangular by construction, since the column count frames every
+// block. The encoder writes kLayoutRejected only for a set whose rows
+// disagree with its column list, which no producer makes; every decoder
+// refuses it, as it refuses any byte but kLayoutColumnar.
+constexpr uint8_t kLayoutColumnar = 0;
+constexpr uint8_t kLayoutRejected = 0xff;
 
 void AppendSchema(const storage::ResultSet& rs, std::string* out) {
   AppendVarint(rs.columns.size(), out);
@@ -232,47 +233,21 @@ struct EncodeCtx {
 
 struct DecodeCtx {
   std::shared_ptr<storage::ResultSet>* stream_slot = nullptr;
-  /// Containers (arrays, structs, row-wise result blocks) enclosing the
-  /// value being decoded; capped at kMaxNestingDepth.
+  /// Containers (arrays, structs) enclosing the value being decoded;
+  /// capped at kMaxNestingDepth.
   int depth = 0;
 };
-
-void EncodeValueImpl(const XmlRpcValue& value, EncodeCtx& ctx,
-                     std::string* out);
 
 void EncodeResultSetTlv(const storage::ResultSet& rs, std::string* out) {
   out->push_back(static_cast<char>(kTagResultSet));
   AppendSchema(rs, out);
-  if (RowsAreRectangular(rs)) {
-    out->push_back(0);  // columnar layout
-    Status ok = EncodeRowsColumnar(rs, 0, rs.rows.size(), out);
-    (void)ok;  // rectangular by the check above; cannot fail
-    return;
-  }
-  // Ragged rows (a hand-built set whose rows disagree with the schema)
-  // fall back to the generic row-wise layout.
-  out->push_back(1);
-  AppendVarint(rs.rows.size(), out);
-  EncodeCtx none;
-  for (const storage::Row& row : rs.rows) {
-    AppendVarint(row.size(), out);
-    for (const Value& cell : row) {
-      switch (cell.type()) {
-        case DataType::kNull: EncodeValueImpl(XmlRpcValue(), none, out); break;
-        case DataType::kInt64:
-          EncodeValueImpl(XmlRpcValue(cell.AsInt64Strict()), none, out);
-          break;
-        case DataType::kDouble:
-          EncodeValueImpl(XmlRpcValue(cell.AsDoubleStrict()), none, out);
-          break;
-        case DataType::kBool:
-          EncodeValueImpl(XmlRpcValue(cell.AsBoolStrict()), none, out);
-          break;
-        case DataType::kString:
-          EncodeValueImpl(XmlRpcValue(cell.AsStringStrict()), none, out);
-          break;
-      }
-    }
+  const size_t layout_at = out->size();
+  out->push_back(static_cast<char>(kLayoutColumnar));
+  if (!EncodeRowsColumnar(rs, 0, rs.rows.size(), out).ok()) {
+    // Rows that disagree with the column list are a program bug; send a
+    // layout the peer rejects rather than rows it would read differently.
+    out->resize(layout_at);
+    out->push_back(static_cast<char>(kLayoutRejected));
   }
 }
 
@@ -332,49 +307,15 @@ void EncodeValueImpl(const XmlRpcValue& value, EncodeCtx& ctx,
   EncodeResultSetTlv(*rs, out);
 }
 
-Result<XmlRpcValue> DecodeValueImpl(std::string_view in, size_t* offset,
-                                    const DecodeCtx& ctx);
-
-Result<XmlRpcValue> DecodeResultSetTlv(std::string_view in, size_t* offset,
-                                       int depth) {
+Result<XmlRpcValue> DecodeResultSetTlv(std::string_view in, size_t* offset) {
   auto rs = std::make_shared<storage::ResultSet>();
   GRIDDB_ASSIGN_OR_RETURN(rs->columns, ReadSchema(in, offset));
   if (*offset >= in.size()) return Corruption("truncated result-set layout");
-  uint8_t layout = static_cast<uint8_t>(in[(*offset)++]);
-  if (layout == 0) {
-    GRIDDB_RETURN_IF_ERROR(
-        DecodeRowsColumnar(in, offset, rs->columns.size(), &rs->rows));
-    return XmlRpcValue(std::move(rs));
+  if (static_cast<uint8_t>(in[(*offset)++]) != kLayoutColumnar) {
+    return Corruption("unknown result-set layout");
   }
-  if (layout != 1) return Corruption("unknown result-set layout");
-  GRIDDB_ASSIGN_OR_RETURN(uint64_t nrows, ReadVarint(in, offset));
-  GRIDDB_RETURN_IF_ERROR(CheckCount(nrows, in.size() - *offset + 1));
-  rs->rows.reserve(nrows);
-  DecodeCtx none;
-  none.depth = depth;
-  for (uint64_t r = 0; r < nrows; ++r) {
-    GRIDDB_ASSIGN_OR_RETURN(uint64_t ncells, ReadVarint(in, offset));
-    GRIDDB_RETURN_IF_ERROR(CheckCount(ncells, in.size() - *offset + 1));
-    storage::Row row;
-    row.reserve(ncells);
-    for (uint64_t c = 0; c < ncells; ++c) {
-      GRIDDB_ASSIGN_OR_RETURN(XmlRpcValue cell, DecodeValueImpl(in, offset, none));
-      if (cell.is_empty()) {
-        row.push_back(Value::Null());
-      } else if (cell.is_int()) {
-        row.push_back(Value(cell.AsInt().value()));
-      } else if (cell.is_double()) {
-        row.push_back(Value(cell.AsDouble().value()));
-      } else if (cell.is_bool()) {
-        row.push_back(Value(cell.AsBool().value()));
-      } else if (cell.is_string()) {
-        row.push_back(Value(cell.AsString().value()));
-      } else {
-        return Corruption("non-scalar cell in row-wise result block");
-      }
-    }
-    rs->rows.push_back(std::move(row));
-  }
+  GRIDDB_RETURN_IF_ERROR(
+      DecodeRowsColumnar(in, offset, rs->columns.size(), &rs->rows));
   return XmlRpcValue(std::move(rs));
 }
 
@@ -437,7 +378,7 @@ Result<XmlRpcValue> DecodeValueImpl(std::string_view in, size_t* offset,
       return XmlRpcValue(std::move(record));
     }
     case kTagResultSet:
-      return DecodeResultSetTlv(in, offset, inner.depth);
+      return DecodeResultSetTlv(in, offset);
     case kTagStreamStub: {
       if (ctx.stream_slot == nullptr || *ctx.stream_slot != nullptr) {
         return Corruption("unexpected stream stub in binary value");
@@ -718,7 +659,11 @@ Status EncodeRowsColumnar(const storage::ResultSet& rs, size_t start,
                           size_t len, std::string* out) {
   for (size_t r = start; r < start + len && r < rs.rows.size(); ++r) {
     if (rs.rows[r].size() != rs.columns.size()) {
-      return FailedPrecondition("ragged rows cannot use the columnar layout");
+      return FailedPrecondition("row " + std::to_string(r) + " has " +
+                                std::to_string(rs.rows[r].size()) +
+                                " cells for " +
+                                std::to_string(rs.columns.size()) +
+                                " columns");
     }
   }
   engine::RowBatch batch;
@@ -1007,14 +952,12 @@ std::string EncodeBinaryResponse(const XmlRpcValue& value, uint32_t caps,
 
   // Pick the streaming candidate: the largest result set embedded either
   // as the response itself or as a direct struct member, big enough to
-  // span more than one chunk. Ragged sets (rows disagreeing with the
-  // schema) never stream — chunk decode needs the column count.
+  // span more than one chunk.
   const storage::ResultSet* target = nullptr;
   if (caps & kCapStream) {
     auto consider = [&](const XmlRpcValue& v) {
       const storage::ResultSet* rs = v.result_set();
       if (rs == nullptr || rs->rows.size() <= chunk_rows) return;
-      if (!RowsAreRectangular(*rs)) return;
       if (target == nullptr || rs->rows.size() > target->rows.size()) {
         target = rs;
       }
@@ -1029,12 +972,7 @@ std::string EncodeBinaryResponse(const XmlRpcValue& value, uint32_t caps,
   }
 
   std::string out;
-  if (target == nullptr) {
-    std::string payload;
-    EncodeCtx plain;
-    EncodeValueImpl(value, plain, &payload);
-    AppendFrame(FrameKind::kWhole, 0, payload, compress, &out);
-  } else {
+  auto append_stream = [&]() -> Status {
     EncodeCtx ctx;
     ctx.stream_target = target;
     std::string header;
@@ -1045,15 +983,27 @@ std::string EncodeBinaryResponse(const XmlRpcValue& value, uint32_t caps,
     for (size_t start = 0; start < total; start += chunk_rows) {
       size_t len = std::min(chunk_rows, total - start);
       std::string block;
-      Status ok = EncodeRowsColumnar(*target, start, len, &block);
-      (void)ok;  // rectangular by the eligibility check; cannot fail
+      GRIDDB_RETURN_IF_ERROR(EncodeRowsColumnar(*target, start, len, &block));
       AppendFrame(FrameKind::kStreamChunk, seq++, block, compress, &out);
-      ChunksStreamed().Add(1);
     }
     std::string trailer;
     AppendVarint(total, &trailer);
     AppendVarint(seq - 1, &trailer);
     AppendFrame(FrameKind::kStreamTrailer, seq, trailer, compress, &out);
+    ChunksStreamed().Add(seq - 1);
+    return Status::Ok();
+  };
+  if (target != nullptr && !append_stream().ok()) {
+    // Rows that disagree with the column list cannot stream: send one
+    // whole frame, whose result-set layout byte the peer rejects.
+    out.clear();
+    target = nullptr;
+  }
+  if (target == nullptr) {
+    std::string payload;
+    EncodeCtx plain;
+    EncodeValueImpl(value, plain, &payload);
+    AppendFrame(FrameKind::kWhole, 0, payload, compress, &out);
   }
   BinaryResponses().Add(1);
   if (xml_size_hint > out.size()) {

@@ -121,8 +121,8 @@ void EncodeValue(const XmlRpcValue& value, std::string* out);
 Result<XmlRpcValue> DecodeValue(std::string_view in, size_t* offset);
 
 /// Columnar block for rows[start, start+len) of `rs` (no schema; the
-/// column count frames the block). Fails kFailedPrecondition on ragged
-/// rows — callers fall back to the row-wise TLV layout.
+/// column count frames the block, so every decoded row is as wide as the
+/// column list). Fails kFailedPrecondition on a row of another width.
 Status EncodeRowsColumnar(const storage::ResultSet& rs, size_t start,
                           size_t len, std::string* out);
 Status DecodeRowsColumnar(std::string_view in, size_t* offset, size_t num_cols,

@@ -938,6 +938,14 @@ Result<storage::ResultSet> RpcToResultSet(const XmlRpcValue& value) {
   GRIDDB_ASSIGN_OR_RETURN(const XmlRpcArray* row_items, rows->AsArray());
   for (const XmlRpcValue& row_value : *row_items) {
     GRIDDB_ASSIGN_OR_RETURN(const XmlRpcArray* cells, row_value.AsArray());
+    // Every ResultSet in the program is rectangular; rows from a peer are
+    // where that gets checked.
+    if (cells->size() != rs.columns.size()) {
+      return Corruption("result-set row " + std::to_string(rs.rows.size()) +
+                        " has " + std::to_string(cells->size()) +
+                        " cells for " + std::to_string(rs.columns.size()) +
+                        " columns");
+    }
     storage::Row row;
     row.reserve(cells->size());
     for (const XmlRpcValue& cell : *cells) {

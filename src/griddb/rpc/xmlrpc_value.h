@@ -109,6 +109,8 @@ class XmlRpcValue {
 
 XmlRpcValue ResultSetToRpc(const storage::ResultSet& rs);
 XmlRpcValue ResultSetToRpc(storage::ResultSet&& rs);
+/// The XML form fails kCorruption on a row whose width differs from the
+/// column list; the binary form is rectangular by construction.
 Result<storage::ResultSet> RpcToResultSet(const XmlRpcValue& value);
 
 // ---- message codec ----

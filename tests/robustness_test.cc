@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "griddb/engine/database.h"
+#include "griddb/rpc/wire.h"
 #include "griddb/rpc/xmlrpc_value.h"
 #include "griddb/sql/parser.h"
 #include "griddb/unity/xspec.h"
@@ -177,6 +178,31 @@ std::string Mutate(Rng& rng, std::string doc) {
   return doc;
 }
 
+/// Every result set a decoder hands back is rectangular: a native one
+/// (binary codec) as decoded, a struct{columns,rows} one (XML codec)
+/// whenever RpcToResultSet accepts it.
+void ExpectRectangular(const rpc::XmlRpcValue& value, int trial) {
+  auto check = [trial](const storage::ResultSet& rs) {
+    for (const storage::Row& row : rs.rows) {
+      EXPECT_EQ(row.size(), rs.columns.size()) << "trial " << trial;
+    }
+  };
+  if (const storage::ResultSet* native = value.result_set()) {
+    check(*native);
+  } else if (value.is_array()) {
+    for (const rpc::XmlRpcValue& item : *value.AsArray().value()) {
+      ExpectRectangular(item, trial);
+    }
+  } else if (value.is_struct()) {
+    auto boxed = rpc::RpcToResultSet(value);
+    if (boxed.ok()) check(*boxed);
+    for (const auto& [key, member] : *value.AsStruct().value()) {
+      (void)key;
+      ExpectRectangular(member, trial);
+    }
+  }
+}
+
 TEST(RpcRobustnessTest, MutatedMessagesDecodeOrFailCleanly) {
   storage::ResultSet rs;
   rs.columns = {"id", "e", "tag", " padded "};
@@ -213,6 +239,9 @@ TEST(RpcRobustnessTest, MutatedMessagesDecodeOrFailCleanly) {
     auto decoded_request = rpc::DecodeRequest(doc);
     if (decoded_request.ok()) {
       ++accepted;
+      for (const rpc::XmlRpcValue& param : decoded_request->params) {
+        ExpectRectangular(param, trial);
+      }
       const std::string once = rpc::EncodeRequest(*decoded_request);
       auto again = rpc::DecodeRequest(once);
       ASSERT_TRUE(again.ok()) << doc;
@@ -224,6 +253,7 @@ TEST(RpcRobustnessTest, MutatedMessagesDecodeOrFailCleanly) {
     auto decoded_response = rpc::DecodeResponse(doc);
     if (decoded_response.ok()) {
       ++accepted;
+      ExpectRectangular(*decoded_response, trial);
       const std::string once = rpc::EncodeResponse(*decoded_response);
       auto again = rpc::DecodeResponse(once);
       ASSERT_TRUE(again.ok()) << doc;
@@ -235,6 +265,67 @@ TEST(RpcRobustnessTest, MutatedMessagesDecodeOrFailCleanly) {
   }
   // Some mutations (inside string content, say) leave a valid message.
   EXPECT_GT(accepted, 0);
+}
+
+// ---------- binary values below the frame digest ----------
+
+TEST(RpcRobustnessTest, MutatedBinaryResultSetsDecodeRectangularOrFail) {
+  // The frame digest catches transit damage, so these mutations model a
+  // peer that sends a well-framed but malformed payload. Columns cover
+  // every columnar representation: int64, double, bool and string with
+  // and without nulls, mixed cell types and all-null.
+  storage::ResultSet wide;
+  wide.columns = {"i", "d", "b", "s", "mixed", "nulls"};
+  for (int r = 0; r < 20; ++r) {
+    storage::Row row;
+    row.push_back(r % 5 == 0 ? storage::Value::Null()
+                             : storage::Value(int64_t{r * 1000 - 7}));
+    row.push_back(storage::Value(0.25 * r));
+    row.push_back(r % 7 == 0 ? storage::Value::Null()
+                             : storage::Value(r % 2 == 0));
+    row.push_back(storage::Value(std::string(static_cast<size_t>(r % 4), 'x')));
+    row.push_back(r % 2 == 0 ? storage::Value(int64_t{r})
+                             : storage::Value("c" + std::to_string(r)));
+    row.push_back(storage::Value::Null());
+    wide.rows.push_back(std::move(row));
+  }
+  storage::ResultSet empty;
+  empty.columns = {"only"};
+  rpc::XmlRpcStruct envelope;
+  envelope["result"] = rpc::ResultSetToRpc(wide);
+  envelope["rows"] = int64_t{20};
+  const rpc::XmlRpcValue seeds_values[] = {
+      rpc::ResultSetToRpc(wide),
+      rpc::XmlRpcValue(std::move(envelope)),
+      rpc::XmlRpcArray{rpc::ResultSetToRpc(empty), rpc::ResultSetToRpc(wide)},
+  };
+  std::vector<std::string> seeds;
+  for (const rpc::XmlRpcValue& v : seeds_values) {
+    std::string bytes;
+    rpc::wire::EncodeValue(v, &bytes);
+    seeds.push_back(std::move(bytes));
+  }
+
+  Rng rng(1618);
+  int accepted = 0;
+  int rejected = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::string doc = Mutate(rng, seeds[trial % seeds.size()]);
+    size_t offset = 0;
+    auto decoded = rpc::wire::DecodeValue(doc, &offset);
+    if (decoded.ok()) {
+      ++accepted;
+      ExpectRectangular(*decoded, trial);
+    } else {
+      ++rejected;
+      StatusCode code = decoded.status().code();
+      EXPECT_TRUE(code == StatusCode::kCorruption ||
+                  code == StatusCode::kParseError)
+          << "trial " << trial << ": " << decoded.status().ToString();
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 // ---------- XSpec documents ----------

@@ -1,13 +1,18 @@
-// Byte-identical parity between the vectorized executor and the retained
-// row-at-a-time reference path (DESIGN.md §15).
+// Byte-identical parity between the vectorized executor and the
+// row-at-a-time oracle in bench/row_executor_oracle.h (DESIGN.md §15).
 //
-// The contract under test: for every fault-free input, ExecuteSelect
-// (vectorized, the default) and ExecuteSelectReferenceRows return
-// ResultSets whose columns and cells match exactly — same types, same
-// bit patterns for doubles, same row order. When the reference path
-// errors, the vectorized path must also error (messages may differ: the
+// The contract under test: for every fault-free input, ExecuteSelect and
+// the oracle return ResultSets whose columns and cells match exactly —
+// same types, same bit patterns for doubles, same row order. When the
+// oracle errors, ExecuteSelect must also error (messages may differ: the
 // vectorized path evaluates subexpressions column-major, so with two
 // independently failing subexpressions it can surface the other one).
+//
+// ExecuteSelect also runs over copies of the tables that crossed the
+// XML-RPC and the binary codec (ResultSetToRpc, encode, decode,
+// RpcToResultSet) and must still match the oracle on the originals: the
+// width check where rows enter from a peer must accept every valid set,
+// empty, all-null and mixed-type ones included.
 //
 // Coverage comes from a seeded random query generator over tables with
 // NULLs, mixed-type columns and duplicate join keys, plus deterministic
@@ -18,7 +23,10 @@
 #include <cstring>
 #include <thread>
 
+#include "bench/row_executor_oracle.h"
 #include "griddb/engine/select_executor.h"
+#include "griddb/rpc/wire.h"
+#include "griddb/rpc/xmlrpc_value.h"
 #include "griddb/sql/parser.h"
 #include "griddb/util/rng.h"
 
@@ -78,30 +86,70 @@ bool ValueExactEq(const Value& a, const Value& b) {
   return ::testing::AssertionSuccess();
 }
 
-/// Runs one SQL text against both executors and checks the contract.
-/// Returns true when both succeeded (useful for counting coverage).
-bool CheckParity(const std::string& sql_text, const TableSource& source,
+using Tables = std::vector<std::pair<std::string, ResultSet>>;
+
+/// `rs` after crossing the XML-RPC codec, or the binary TLV codec.
+ResultSet CrossWire(const ResultSet& rs, bool binary) {
+  const rpc::XmlRpcValue value = rpc::ResultSetToRpc(rs);
+  std::string bytes;
+  if (binary) rpc::wire::EncodeValue(value, &bytes);
+  size_t offset = 0;
+  auto decoded = binary ? rpc::wire::DecodeValue(bytes, &offset)
+                        : rpc::DecodeResponse(rpc::EncodeResponse(value));
+  EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+  if (!decoded.ok()) return {};
+  auto back = rpc::RpcToResultSet(*decoded);
+  EXPECT_TRUE(back.ok()) << back.status().ToString();
+  return back.ok() ? std::move(*back) : ResultSet{};
+}
+
+/// The same tables three ways: as built, and after each codec.
+struct ParitySources {
+  explicit ParitySources(const Tables& tables) {
+    for (const auto& [name, rs] : tables) {
+      original.Add(name, rs);
+      via_xml.Add(name, CrossWire(rs, /*binary=*/false));
+      via_binary.Add(name, CrossWire(rs, /*binary=*/true));
+    }
+  }
+  MapTableSource original;
+  MapTableSource via_xml;
+  MapTableSource via_binary;
+};
+
+/// Runs one SQL text through the oracle over the original tables and
+/// through ExecuteSelect over all three sources, and checks the contract.
+/// Returns true when the oracle succeeded (useful for counting coverage).
+bool CheckParity(const std::string& sql_text, const ParitySources& sources,
                  size_t batch_rows = 1024) {
   auto dialect = sql::Dialect::For(sql::Vendor::kMySql);
   auto stmt = sql::ParseSelect(sql_text, dialect);
   if (!stmt.ok()) return false;  // generator produced unparseable SQL
 
-  Result<ResultSet> ref = ExecuteSelectReferenceRows(**stmt, source);
+  Result<ResultSet> ref = bench::row_executor::ExecuteSelectReferenceRows(
+      **stmt, sources.original);
   ExecOptions opts;
   opts.batch_rows = batch_rows;
-  Result<ResultSet> vec = ExecuteSelect(**stmt, source, opts);
-
-  if (ref.ok() != vec.ok()) {
-    ADD_FAILURE() << "divergence on: " << sql_text << "\n  reference: "
-                  << (ref.ok() ? "ok" : ref.status().ToString())
-                  << "\n  vectorized: "
-                  << (vec.ok() ? "ok" : vec.status().ToString());
-    return false;
+  for (const auto& [label, source] :
+       {std::pair<const char*, const MapTableSource*>{"original",
+                                                      &sources.original},
+        {"via_xml", &sources.via_xml},
+        {"via_binary", &sources.via_binary}}) {
+    Result<ResultSet> vec = ExecuteSelect(**stmt, *source, opts);
+    if (ref.ok() != vec.ok()) {
+      ADD_FAILURE() << "divergence on: " << sql_text << " (" << label
+                    << ")\n  oracle: "
+                    << (ref.ok() ? "ok" : ref.status().ToString())
+                    << "\n  vectorized: "
+                    << (vec.ok() ? "ok" : vec.status().ToString());
+      continue;
+    }
+    if (!ref.ok()) continue;  // both erroring is allowed
+    EXPECT_TRUE(ResultsIdentical(*ref, *vec))
+        << "query: " << sql_text << " (" << label
+        << ") batch_rows=" << batch_rows;
   }
-  if (!ref.ok()) return false;  // both erroring is allowed
-  EXPECT_TRUE(ResultsIdentical(*ref, *vec)) << "query: " << sql_text
-                                            << " batch_rows=" << batch_rows;
-  return true;
+  return ref.ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -154,12 +202,12 @@ ResultSet RunsTable(size_t n, Rng& rng) {
   return rs;
 }
 
-MapTableSource MakeSource(size_t events, size_t runs, uint64_t seed) {
+ParitySources MakeSources(size_t events, size_t runs, uint64_t seed) {
   Rng rng(seed);
-  MapTableSource source;
-  source.Add("events", EventsTable(events, rng));
-  source.Add("runs", RunsTable(runs, rng));
-  return source;
+  Tables tables;
+  tables.emplace_back("events", EventsTable(events, rng));
+  tables.emplace_back("runs", RunsTable(runs, rng));
+  return ParitySources(tables);
 }
 
 // ---------------------------------------------------------------------------
@@ -303,7 +351,7 @@ class QueryGen {
 // Randomized sweep
 
 TEST(VectorizedParity, RandomizedQueries) {
-  MapTableSource source = MakeSource(197, 41, 0xfeed);
+  ParitySources source = MakeSources(197, 41, 0xfeed);
   QueryGen gen(0xbeef);
   size_t both_ok = 0;
   for (int i = 0; i < 400; ++i) {
@@ -316,7 +364,7 @@ TEST(VectorizedParity, RandomizedQueries) {
 
 TEST(VectorizedParity, RandomizedSmallBatches) {
   // Tiny batch sizes stress chunk-boundary handling in every operator.
-  MapTableSource source = MakeSource(83, 17, 0xabba);
+  ParitySources source = MakeSources(83, 17, 0xabba);
   for (size_t batch_rows : {size_t{1}, size_t{3}, size_t{7}}) {
     QueryGen gen(0x1234 + batch_rows);
     for (int i = 0; i < 60; ++i) {
@@ -330,7 +378,7 @@ TEST(VectorizedParity, RandomizedSmallBatches) {
 
 TEST(VectorizedParity, BatchBoundaryRowCounts) {
   for (size_t n : {size_t{1023}, size_t{1024}, size_t{1025}}) {
-    MapTableSource source = MakeSource(n, 11, n);
+    ParitySources source = MakeSources(n, 11, n);
     CheckParity("SELECT id, energy FROM events WHERE energy > 50", source);
     CheckParity("SELECT COUNT(*), SUM(energy) FROM events", source);
     CheckParity("SELECT * FROM events ORDER BY energy DESC LIMIT 5", source);
@@ -339,10 +387,9 @@ TEST(VectorizedParity, BatchBoundaryRowCounts) {
 }
 
 TEST(VectorizedParity, EmptyTable) {
-  MapTableSource source;
   ResultSet empty;
   empty.columns = {"id", "x"};
-  source.Add("events", empty);
+  ParitySources source({{"events", empty}});
   CheckParity("SELECT id, x FROM events", source);
   CheckParity("SELECT COUNT(*), SUM(x), MIN(x) FROM events", source);
   CheckParity("SELECT id FROM events WHERE x > 3 ORDER BY id LIMIT 4", source);
@@ -354,13 +401,12 @@ TEST(VectorizedParity, EmptyTable) {
 }
 
 TEST(VectorizedParity, AllNullColumn) {
-  MapTableSource source;
   ResultSet rs;
   rs.columns = {"id", "v"};
   for (int i = 0; i < 10; ++i) {
     rs.rows.push_back({Value(static_cast<int64_t>(i)), Value::Null()});
   }
-  source.Add("events", rs);
+  ParitySources source({{"events", rs}});
   CheckParity("SELECT v, v + 1, v IS NULL FROM events", source);
   CheckParity("SELECT COUNT(v), SUM(v), AVG(v) FROM events", source);
   CheckParity("SELECT id FROM events WHERE v > 0", source);
@@ -368,7 +414,7 @@ TEST(VectorizedParity, AllNullColumn) {
 }
 
 TEST(VectorizedParity, LimitOffsetEdges) {
-  MapTableSource source = MakeSource(50, 7, 0x50);
+  ParitySources source = MakeSources(50, 7, 0x50);
   CheckParity("SELECT id FROM events LIMIT 0", source);
   CheckParity("SELECT id FROM events LIMIT 5 OFFSET 100", source);
   CheckParity("SELECT id FROM events ORDER BY energy LIMIT 0", source);
@@ -378,7 +424,7 @@ TEST(VectorizedParity, LimitOffsetEdges) {
 }
 
 TEST(VectorizedParity, MixedTypeColumn) {
-  MapTableSource source = MakeSource(60, 30, 0x77);
+  ParitySources source = MakeSources(60, 30, 0x77);
   // runs.weight interleaves int64 and double cells (boxed representation).
   CheckParity("SELECT weight, weight * 2, weight + 0.5 FROM runs", source);
   CheckParity("SELECT SUM(weight), MIN(weight), MAX(weight) FROM runs",
@@ -388,7 +434,7 @@ TEST(VectorizedParity, MixedTypeColumn) {
 }
 
 TEST(VectorizedParity, JoinShapes) {
-  MapTableSource source = MakeSource(70, 25, 0x99);
+  ParitySources source = MakeSources(70, 25, 0x99);
   CheckParity("SELECT events.id, runs.detector FROM events "
               "JOIN runs ON events.run = runs.run",
               source);
@@ -406,7 +452,7 @@ TEST(VectorizedParity, JoinShapes) {
 }
 
 TEST(VectorizedParity, HavingDropsGroups) {
-  MapTableSource source = MakeSource(90, 12, 0x42);
+  ParitySources source = MakeSources(90, 12, 0x42);
   CheckParity("SELECT run, COUNT(*) FROM events GROUP BY run "
               "HAVING COUNT(*) > 8",
               source);
@@ -419,42 +465,11 @@ TEST(VectorizedParity, HavingDropsGroups) {
               source);
 }
 
-TEST(VectorizedParity, RaggedRowsFallBackToReference) {
-  MapTableSource source;
-  ResultSet rs;
-  rs.columns = {"a", "b", "c"};
-  rs.rows.push_back({Value(int64_t{1}), Value(int64_t{2}), Value(int64_t{3})});
-  rs.rows.push_back({Value(int64_t{4}), Value(int64_t{5})});  // narrow
-  rs.rows.push_back({Value(int64_t{6}), Value(int64_t{7}), Value(int64_t{8}),
-                     Value(int64_t{9})});  // wide
-  source.Add("events", rs);
-  // Projections that only touch present cells succeed in the row path;
-  // the vectorized path must detect the ragged width and defer to it.
-  CheckParity("SELECT a, b FROM events", source);
-  CheckParity("SELECT a FROM events WHERE a > 1", source);
-  CheckParity("SELECT SUM(a) FROM events", source);
-  CheckParity("SELECT a, b, c FROM events", source);  // both error
-}
-
-TEST(VectorizedParity, ReferencePathOptOut) {
-  MapTableSource source = MakeSource(40, 9, 0x7);
-  auto stmt = sql::ParseSelect("SELECT id, energy FROM events WHERE run = 3",
-                               sql::Dialect::For(sql::Vendor::kMySql));
-  ASSERT_TRUE(stmt.ok());
-  ExecOptions opts;
-  opts.use_vectorized = false;
-  auto via_opts = ExecuteSelect(**stmt, source, opts);
-  auto direct = ExecuteSelectReferenceRows(**stmt, source);
-  ASSERT_TRUE(via_opts.ok());
-  ASSERT_TRUE(direct.ok());
-  EXPECT_TRUE(ResultsIdentical(*direct, *via_opts));
-}
-
 TEST(VectorizedParity, ThreadedMixedQueries) {
-  // Shared read-only source, concurrent executors on both paths: the
+  // Shared read-only sources, concurrent executors and oracle: the
   // TSan leg of the suite watches this for unsynchronized shared state
   // (e.g. the registered engine metrics).
-  MapTableSource source = MakeSource(257, 31, 0x1111);
+  ParitySources source = MakeSources(257, 31, 0x1111);
   std::vector<std::thread> threads;
   threads.reserve(6);
   for (int t = 0; t < 6; ++t) {

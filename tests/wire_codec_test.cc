@@ -1,5 +1,6 @@
 // Negotiated binary wire protocol (rpc/wire.h, DESIGN.md §16): codec
-// round trips over randomized typed/null/ragged batches, the frame
+// round trips over randomized typed/null batches, sets whose rows
+// disagree with their column list refused on the receiving side, the frame
 // digest catching injected corruption (and RetryPolicy recovering),
 // the capability handshake falling back to XML-RPC in every
 // non-negotiated cell, chunked streaming reassembly, and the guard
@@ -238,12 +239,33 @@ ResultSet RandomResultSet(Rng& rng, bool allow_ragged) {
   return rs;
 }
 
+bool IsRectangular(const ResultSet& rs) {
+  for (const Row& row : rs.rows) {
+    if (row.size() != rs.columns.size()) return false;
+  }
+  return true;
+}
+
 TEST(TlvCodecTest, RandomizedResultSetRoundTrips) {
   Rng rng(2005);
+  int rejected = 0;
   for (int trial = 0; trial < 60; ++trial) {
     ResultSet rs = RandomResultSet(rng, /*allow_ragged=*/trial % 3 == 0);
     ResultSet expected = rs;
     XmlRpcValue value = ResultSetToRpc(std::move(rs));
+    if (!IsRectangular(expected)) {
+      // Only a program bug builds such a set; the receiver refuses it
+      // instead of reading rows that differ from the ones sent.
+      std::string buf;
+      wire::EncodeValue(value, &buf);
+      size_t offset = 0;
+      auto decoded = wire::DecodeValue(buf, &offset);
+      ASSERT_FALSE(decoded.ok()) << "trial " << trial;
+      EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
+          << decoded.status().ToString();
+      ++rejected;
+      continue;
+    }
     XmlRpcValue decoded = TlvRoundTrip(value);
     auto back = RpcToResultSet(decoded);
     ASSERT_TRUE(back.ok()) << back.status().ToString();
@@ -253,6 +275,23 @@ TEST(TlvCodecTest, RandomizedResultSetRoundTrips) {
       EXPECT_EQ(back->rows[r], expected.rows[r]) << "trial " << trial
                                                  << " row " << r;
     }
+  }
+  EXPECT_GT(rejected, 0);  // the seed must exercise the refusal
+}
+
+TEST(TlvCodecTest, EveryLayoutButColumnarIsCorruption) {
+  // One column "a", then a layout byte. Byte 1 is the retired row-wise
+  // layout (here one row of one int cell), byte 0xff the one the encoder
+  // writes for a set whose rows disagree with its column list.
+  for (uint8_t layout : {uint8_t{1}, uint8_t{2}, uint8_t{0xff}}) {
+    std::string tlv = {8, 1, 1, 'a', static_cast<char>(layout), 1, 1, 1, 10};
+    size_t offset = 0;
+    auto decoded = wire::DecodeValue(tlv, &offset);
+    ASSERT_FALSE(decoded.ok()) << int{layout};
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(decoded.status().message().find("unknown result-set layout"),
+              std::string::npos)
+        << decoded.status().ToString();
   }
 }
 
@@ -319,6 +358,23 @@ Result<XmlRpcValue> DecodeFramed(const std::string& raw,
   if (!decoder.done()) return Corruption("stream ended without trailer");
   if (streamed_rows != nullptr) *streamed_rows = rows;
   return decoder.Finish(/*attach_rows=*/true, std::move(rows));
+}
+
+TEST(BinaryResponseTest, MisshapedSetFailsWholeAndStreamed) {
+  // A row narrower than the column list, in a set big enough to stream:
+  // neither framing may deliver rows that differ from the ones sent.
+  ResultSet rs = WideResultSet(100);
+  rs.rows[70].pop_back();
+  XmlRpcStruct out;
+  out["result"] = ResultSetToRpc(std::move(rs));
+  XmlRpcValue value(std::move(out));
+  for (uint32_t caps : {uint32_t{wire::kCapBinary}, wire::kAllCaps}) {
+    std::string raw = wire::EncodeBinaryResponse(value, caps, 16, 0);
+    auto decoded = DecodeFramed(raw, nullptr, nullptr);
+    ASSERT_FALSE(decoded.ok()) << "caps " << caps;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption)
+        << decoded.status().ToString();
+  }
 }
 
 TEST(BinaryResponseTest, WholeFrameRoundTrip) {

@@ -5,8 +5,10 @@
 // CDATA and character-reference forms of random values exactly as the
 // tree oracle does, apart from the string whitespace the oracle trims;
 // the accepted and rejected grammar; the nesting-depth cap on every
-// decoder of untrusted bytes; and padded strings and subnormal doubles
-// crossing a federated query unchanged on both codecs.
+// decoder of untrusted bytes; padded strings and subnormal doubles
+// crossing a federated query unchanged on both codecs; and a reply whose
+// rows disagree with its column list refused as kCorruption, which a
+// federated query fails over on.
 #include <gtest/gtest.h>
 
 #include <cfloat>
@@ -14,6 +16,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <string>
@@ -667,6 +670,39 @@ TEST(NestingDepthTest, DeepRequestBeforeAuthGetsAFaultNotACrash) {
       << decoded.status().ToString();
 }
 
+// ---------- result sets must be rectangular ----------
+
+TEST(RectangularTest, MisshapedRowsInAnXmlReplyAreCorruption) {
+  // What a faulty peer can send: rows [1,2], [3,4,99], [5] under a, b.
+  auto row = [](std::initializer_list<int64_t> cells) {
+    XmlRpcArray out;
+    for (int64_t c : cells) out.emplace_back(c);
+    return XmlRpcValue(std::move(out));
+  };
+  XmlRpcStruct probe;
+  probe["columns"] = XmlRpcArray{XmlRpcValue("a"), XmlRpcValue("b")};
+  probe["rows"] = XmlRpcArray{row({1, 2}), row({3, 4, 99}), row({5})};
+  auto decoded = DecodeResponse(EncodeResponse(XmlRpcValue(std::move(probe))));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  auto rs = RpcToResultSet(*decoded);
+  ASSERT_FALSE(rs.ok());
+  EXPECT_EQ(rs.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(rs.status().message().find("row 1 has 3 cells for 2 columns"),
+            std::string::npos)
+      << rs.status().ToString();
+
+  // A lone narrow row is refused the same way. Well-shaped sets cross
+  // both codecs unchanged in vectorized_parity_test.
+  ResultSet narrow;
+  narrow.columns = {"a", "b"};
+  narrow.rows.push_back({Value(int64_t{1})});
+  auto reply = DecodeResponse(EncodeResponse(ResultSetToRpc(narrow)));
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  auto back = RpcToResultSet(*reply);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kCorruption);
+}
+
 // ---------- padded strings and subnormals through a federated query ----------
 
 struct XmlFederationFixture : public ::testing::Test {
@@ -748,6 +784,50 @@ TEST_F(XmlFederationFixture, PaddedStringsAndSubnormalsMatchTheReference) {
     ASSERT_TRUE(rs.ok()) << rs.status().ToString();
     EXPECT_EQ(rs->columns, reference->columns);
     EXPECT_EQ(rs->rows, reference->rows);
+  }
+}
+
+TEST_F(XmlFederationFixture, MisshapedReplyFailsOverOrFailsAsCorruption) {
+  // A peer whose dataaccess.query answer has a row narrower than its
+  // column list. Its URL sorts before server-b's, so it is tried first.
+  const std::string rogue_url = "clarens://rogue:8080/clarens";
+  network.AddHost("rogue");
+  RpcServer rogue(rogue_url, &transport);
+  (void)rogue.RegisterMethod(
+      "dataaccess.query",
+      [](const XmlRpcArray&, CallContext&) -> Result<XmlRpcValue> {
+        ResultSet rs;
+        rs.columns = {"ID", "S", "E"};
+        rs.rows.push_back({Value(int64_t{1}), Value("x"), Value(0.5)});
+        rs.rows.push_back({Value(int64_t{2}), Value("y")});
+        XmlRpcStruct out;
+        out["result"] = ResultSetToRpc(std::move(rs));
+        return XmlRpcValue(std::move(out));
+      });
+  ASSERT_TRUE(rls->Publish("padded", rogue_url).ok());
+
+  const std::string sql = "SELECT id, s, e FROM padded ORDER BY id";
+  auto reference = db_remote.Execute(sql);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  for (const char* codec : {"xmlrpc", "binary"}) {
+    SCOPED_TRACE(codec);
+    core::QueryStats stats;
+    auto rs = Coordinator(codec)->Query(sql, &stats);
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+    EXPECT_EQ(rs->columns, reference->columns);
+    EXPECT_EQ(rs->rows, reference->rows);
+    EXPECT_EQ(stats.failovers, 1u);
+  }
+
+  // With the healthy replica gone there is nothing to fail over to.
+  ASSERT_TRUE(
+      rls->Unpublish("padded", "clarens://server-b:8080/clarens").ok());
+  for (const char* codec : {"xmlrpc", "binary"}) {
+    SCOPED_TRACE(codec);
+    auto rs = Coordinator(codec)->Query(sql);
+    ASSERT_FALSE(rs.ok());
+    EXPECT_EQ(rs.status().code(), StatusCode::kCorruption)
+        << rs.status().ToString();
   }
 }
 
