@@ -6,6 +6,10 @@
 // (RLS lookup + remote connect) because the ntuple data is requested
 // through the web-service interface from the server that does not host
 // it locally.
+//
+// Exits non-zero when a simulated time drifts more than 0.1 ms from the
+// calibrated value recorded in EXPERIMENTS.md.
+#include <cmath>
 #include <cstdio>
 
 #include "bench/testbed.h"
@@ -26,6 +30,10 @@ int main() {
 
   // The paper's endpoints: 21 -> ~300 ms, 2551 -> ~700 ms.
   const int row_counts[] = {21, 115, 450, 1024, 1800, 2551};
+  // Calibrated simulated ms per row count (EXPERIMENTS.md, Figure 6).
+  const double calibrated_ms[] = {270.4, 285.0, 337.2, 426.8, 547.8, 665.0};
+  int drifted = 0;
+  size_t point = 0;
 
   std::printf("%-10s %16s %12s %14s\n", "rows", "measured (ms)", "cpu (ms)",
               "paper anchor");
@@ -55,11 +63,17 @@ int main() {
                 wall.ElapsedMs(), anchor);
     if (n == 21) first_ms = cost.total_ms();
     if (n == 2551) last_ms = cost.total_ms();
+    if (std::fabs(cost.total_ms() - calibrated_ms[point]) > 0.1) {
+      std::fprintf(stderr, "%d rows: %.2f ms drifted from calibrated %.1f\n",
+                   n, cost.total_ms(), calibrated_ms[point]);
+      ++drifted;
+    }
+    ++point;
   }
 
   std::printf("\nslope: %.3f ms/row (paper: ~%.3f ms/row); "
               "growth factor %.2fx (paper: ~2.3x)\n",
               (last_ms - first_ms) / (2551 - 21),
               (700.0 - 300.0) / (2551 - 21), last_ms / first_ms);
-  return 0;
+  return drifted == 0 ? 0 : 1;
 }

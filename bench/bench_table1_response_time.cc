@@ -10,6 +10,10 @@
 // The distributed rows pay decomposition + fresh per-database
 // connect/auth (+ RLS lookup and forwarding for the two-server row),
 // which is what the paper attributes the >10x penalty to.
+//
+// Exits non-zero when the scenario shape is off or a simulated time drifts
+// more than 0.1 ms from the calibrated value recorded in EXPERIMENTS.md.
+#include <cmath>
 #include <cstdio>
 
 #include "bench/testbed.h"
@@ -70,31 +74,39 @@ int main() {
     const char* distributed;
     int tables;
     double paper_ms;
+    double calibrated_ms;  ///< EXPERIMENTS.md, Table 1.
     std::string sql;
   };
   const Row rows[3] = {
-      {"1", "No", 1, 38.0, "SELECT id, value FROM chunk_my_a1_0"},
-      {"1", "Yes", 2, 487.5,
+      {"1", "No", 1, 38.0, 30.5, "SELECT id, value FROM chunk_my_a1_0"},
+      {"1", "Yes", 2, 487.5, 475.6,
        "SELECT a.id, a.value, b.value FROM chunk_my_a1_0 a "
        "JOIN chunk_ms_a1_0 b ON a.id = b.id"},
-      {"2", "Yes", 4, 594.0,
+      {"2", "Yes", 4, 594.0, 526.2,
        "SELECT a.id, a.value, b.value, c.value, d.value "
        "FROM chunk_my_a1_0 a JOIN chunk_ms_a1_0 b ON a.id = b.id "
        "JOIN chunk_my_b1_0 c ON a.id = c.id "
        "JOIN chunk_ms_b1_0 d ON a.id = d.id"},
   };
 
-  std::printf("%-8s %-12s %-8s %14s %14s %10s\n", "servers", "distributed",
-              "tables", "paper (ms)", "measured (ms)", "cpu (ms)");
+  std::printf("%-8s %-12s %-8s %14s %14s %10s %6s %6s %6s\n", "servers",
+              "distributed", "tables", "paper (ms)", "measured (ms)",
+              "cpu (ms)", "dbs", "pool", "jdbc");
   for (const Row& row : rows) {
     Measurement m = MeasureQuery(client, row.sql);
-    std::printf("%-8s %-12s %-8d %14.1f %14.1f %10.2f\n", row.servers,
-                row.distributed, row.tables, row.paper_ms, m.simulated_ms,
-                m.real_ms);
+    std::printf("%-8s %-12s %-8d %14.1f %14.1f %10.2f %6zu %6zu %6zu\n",
+                row.servers, row.distributed, row.tables, row.paper_ms,
+                m.simulated_ms, m.real_ms, m.stats.databases,
+                m.stats.pool_ral_subqueries, m.stats.jdbc_subqueries);
     if ((row.distributed[0] == 'Y') != m.stats.distributed ||
         static_cast<size_t>(row.tables) != m.stats.tables) {
       std::fprintf(stderr, "scenario mismatch: distributed=%d tables=%zu\n",
                    m.stats.distributed, m.stats.tables);
+      return 1;
+    }
+    if (std::fabs(m.simulated_ms - row.calibrated_ms) > 0.1) {
+      std::fprintf(stderr, "%d-table row: %.2f ms drifted from calibrated "
+                   "%.1f\n", row.tables, m.simulated_ms, row.calibrated_ms);
       return 1;
     }
   }

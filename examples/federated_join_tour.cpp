@@ -2,13 +2,15 @@
 // four marts with four different vendors (Oracle, MySQL, MS-SQL, SQLite),
 // deliberately different physical naming, one logical query — and a look
 // at the per-vendor sub-query SQL the planner emits, plus the baseline
-// Unity driver failing where the enhanced driver succeeds.
+// Unity driver failing where the enhanced driver succeeds. The query runs
+// through the data access service, the one execution path that routes,
+// fans out and merges the sub-queries.
 //
 // Run: ./build/examples/federated_join_tour
 #include <cstdio>
 
+#include "griddb/core/data_access_service.h"
 #include "griddb/sql/render.h"
-#include "griddb/unity/driver.h"
 
 using namespace griddb;
 
@@ -76,21 +78,12 @@ int main() {
   MustOk(catalog.Add({"sqlite://laptop/laptop_notes", &sqlite, "laptop", "",
                       ""}));
 
-  auto add_all = [&](unity::UnityDriver& driver) {
-    MustOk(driver.AddDatabase({"tier0_conditions",
-                               "oracle://t0/tier0_conditions", "oracle-oci",
-                               ""},
-                              unity::GenerateXSpec(oracle)));
-    MustOk(driver.AddDatabase(
-        {"tier1_events", "mysql://t1/tier1_events", "mysql-jdbc", ""},
-        unity::GenerateXSpec(mysql)));
-    MustOk(driver.AddDatabase(
-        {"tier2_quality", "mssql://t2/tier2_quality", "mssql-jdbc", ""},
-        unity::GenerateXSpec(mssql)));
-    MustOk(driver.AddDatabase(
-        {"laptop_notes", "sqlite://laptop/laptop_notes", "sqlite-jdbc", ""},
-        unity::GenerateXSpec(sqlite)));
-  };
+  const unity::UpperXSpecEntry uppers[4] = {
+      {"tier0_conditions", "oracle://t0/tier0_conditions", "oracle-oci", ""},
+      {"tier1_events", "mysql://t1/tier1_events", "mysql-jdbc", ""},
+      {"tier2_quality", "mssql://t2/tier2_quality", "mssql-jdbc", ""},
+      {"laptop_notes", "sqlite://laptop/laptop_notes", "sqlite-jdbc", ""}};
+  const engine::Database* marts[4] = {&oracle, &mysql, &mssql, &sqlite};
 
   const std::string query =
       "SELECT e.evt_id, e.n_tracks, c.detector, q.grade, s.note "
@@ -109,7 +102,9 @@ int main() {
     options.enhanced = false;
     unity::UnityDriver baseline(&catalog, &network,
                                 net::ServiceCosts::Default(), options);
-    add_all(baseline);
+    for (int i = 0; i < 4; ++i) {
+      MustOk(baseline.AddDatabase(uppers[i], unity::GenerateXSpec(*marts[i])));
+    }
     auto plan = baseline.Plan(query);
     std::printf("baseline Unity driver: %s\n\n",
                 plan.ok() ? "unexpectedly planned?!"
@@ -117,14 +112,16 @@ int main() {
   }
 
   // --- enhanced driver: decompose, render per-vendor, merge --------------
-  unity::UnityDriverOptions options;
-  options.enhanced = true;
-  options.client_host = "t1";
-  unity::UnityDriver driver(&catalog, &network, net::ServiceCosts::Default(),
-                            options);
-  add_all(driver);
+  rpc::Transport transport(&network, net::ServiceCosts::Default());
+  core::DataAccessConfig config;
+  config.host = "t1";
+  core::DataAccessService service(config, &catalog, &transport);
+  for (int i = 0; i < 4; ++i) {
+    MustOk(service.RegisterDatabase(uppers[i],
+                                    unity::GenerateXSpec(*marts[i])));
+  }
 
-  auto plan = driver.Plan(query);
+  auto plan = service.driver().Plan(query);
   if (!plan.ok()) {
     std::fprintf(stderr, "plan failed: %s\n", plan.status().ToString().c_str());
     return 1;
@@ -142,13 +139,15 @@ int main() {
                                 sql::Dialect::For(sql::Vendor::kSqlite))
                   .c_str());
 
-  net::Cost cost;
-  auto rs = driver.Query(query, &cost);
+  core::QueryStats stats;
+  auto rs = service.Query(query, &stats);
   if (!rs.ok()) {
     std::fprintf(stderr, "query failed: %s\n", rs.status().ToString().c_str());
     return 1;
   }
-  std::printf("merged result (%.0f ms simulated):\n%s", cost.total_ms(),
-              rs->ToText().c_str());
+  std::printf("merged result (%.0f ms simulated, %zu POOL-RAL + %zu JDBC "
+              "sub-queries):\n%s",
+              stats.simulated_ms, stats.pool_ral_subqueries,
+              stats.jdbc_subqueries, rs->ToText().c_str());
   return 0;
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Every gate in one run: the docs gates, the tier-1 build and ctest
-# under both wire codecs, the perf gates, the crash-point and chaos
-# sweeps, and the robustness suites under ASan and TSan.
+# under both wire codecs, the paper-shape and perf gates, the crash-point
+# and chaos sweeps, and the robustness suites under ASan and TSan.
 #
 #   scripts/check.sh            # everything below
 #   scripts/check.sh --fast     # docs gates + build + both ctest legs
@@ -43,6 +43,13 @@ if [[ "${1:-}" == "--fast" ]]; then
   echo "OK (fast mode: sanitizer + bench passes skipped)"
   exit 0
 fi
+
+echo "== paper gate: Table 1 + Fig 6 simulated times =="
+# Both benches exit non-zero when a simulated ms drifts more than 0.1 ms
+# from the calibrated value recorded in EXPERIMENTS.md (the paper shapes
+# must stay exact whatever the execution path does).
+./build/bench/bench_table1_response_time >/dev/null
+./build/bench/bench_fig6_rows_scaling >/dev/null
 
 echo "== perf gate: query cache bench =="
 # Warm repeat queries must stay >= 5x faster than cold, and the cold path
@@ -131,14 +138,18 @@ for t in fault_tolerance_test etl_resume_test integrity_test \
 done
 
 echo "== tsan: build + run cache + overload + tenant concurrency suites =="
+# federation_property_test runs mixed local/remote plans, whose local
+# sub-queries and remote server tasks share the fan-out pool.
 cmake -B /tmp/griddb_tsan -S . -DGRIDDB_SANITIZE=thread >/dev/null
 cmake --build /tmp/griddb_tsan -j"$(nproc)" --target \
   query_cache_test concurrency_test overload_test \
   tenant_isolation_test batch_service_test \
-  vectorized_parity_test wire_codec_test chaos_test >/dev/null
+  vectorized_parity_test wire_codec_test chaos_test \
+  federation_property_test >/dev/null
 for t in query_cache_test concurrency_test overload_test \
          tenant_isolation_test batch_service_test \
-         vectorized_parity_test wire_codec_test chaos_test; do
+         vectorized_parity_test wire_codec_test chaos_test \
+         federation_property_test; do
   echo "-- $t"
   /tmp/griddb_tsan/tests/"$t" >/dev/null
 done

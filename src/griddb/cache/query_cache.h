@@ -70,9 +70,12 @@ struct RenderedSubQuery {
   std::vector<std::string> field_strings;  ///< "P AS l" select fields.
   std::string quoted_table;                ///< Quoted physical table.
   std::string where_string;                ///< Rendered WHERE, may be "".
-  std::string full_sql;                    ///< JDBC statement text.
+  std::string full_sql;  ///< JDBC statement text; the forwarded client-
+                         ///< dialect text for a remote sub-query.
   /// Digest identifying this rendered fetch (connection + text); the key
-  /// prefix for per-sub-query result caching.
+  /// prefix for per-sub-query result caching. Empty for remote
+  /// sub-queries, which are never cached (their content versions are not
+  /// observed here).
   std::string cache_id;
 };
 
@@ -80,12 +83,14 @@ struct RenderedSubQuery {
 struct CachedPlan {
   unity::QueryPlan plan;
 
-  // Single-database fast path, pre-rendered.
+  // Whole-statement plans, pre-rendered.
   bool direct_pool_form = false;
   std::vector<std::string> direct_fields;
   std::vector<std::string> direct_tables;
   std::string direct_where;
-  std::string direct_sql;  ///< JDBC form when !direct_pool_form.
+  std::string direct_sql;  ///< JDBC form when !direct_pool_form; the
+                           ///< client-dialect text forwarded whole when
+                           ///< no table is local.
 
   /// Parallel to plan.subqueries.
   std::vector<RenderedSubQuery> subquery_renders;

@@ -80,6 +80,27 @@ ResultSet EmptyPartial(std::vector<std::string> columns) {
   return rs;
 }
 
+/// Folds the counters of a fan-out branch, or of a remote server's
+/// response, into the query's stats.
+void AddStats(QueryStats* into, const QueryStats& from) {
+  into->pool_ral_subqueries += from.pool_ral_subqueries;
+  into->jdbc_subqueries += from.jdbc_subqueries;
+  into->databases += from.databases;
+  into->retries += from.retries;
+  into->failovers += from.failovers;
+  into->subqueries_failed += from.subqueries_failed;
+  into->breaker_skips += from.breaker_skips;
+  into->replans += from.replans;
+  into->plan_cache_hits += from.plan_cache_hits;
+  into->result_cache_hits += from.result_cache_hits;
+  into->subquery_cache_hits += from.subquery_cache_hits;
+  into->cancelled_subqueries += from.cancelled_subqueries;
+  into->stale = into->stale || from.stale;
+  into->subquery_errors.insert(into->subquery_errors.end(),
+                               from.subquery_errors.begin(),
+                               from.subquery_errors.end());
+}
+
 // Per-call-site instrument handles (see rpc/server.cc for the pattern).
 obs::Counter& QueriesCounter() {
   static obs::Counter* c =
@@ -283,10 +304,8 @@ DataAccessService::DataAccessService(DataAccessConfig config,
               [&] {
                 unity::UnityDriverOptions options;
                 options.enhanced = config_.enhanced_driver;
-                options.parallel_subqueries = config_.parallel_subqueries;
                 options.projection_pushdown = config_.projection_pushdown;
                 options.predicate_pushdown = config_.predicate_pushdown;
-                options.max_threads = config_.max_threads;
                 options.client_host = config_.host;
                 options.user = config_.db_user;
                 options.password = config_.db_password;
@@ -610,7 +629,10 @@ std::shared_ptr<const cache::CachedPlan> DataAccessService::PrerenderPlan(
   auto cached = std::make_shared<cache::CachedPlan>();
   cached->plan = std::move(plan);
   const unity::QueryPlan& p = cached->plan;
-  if (p.single_database && p.direct_stmt) {
+  if (p.direct_stmt && !p.single_database) {
+    // No local table: the text forwarded when one server holds them all.
+    cached->direct_sql = sql::RenderSelect(*p.direct_stmt, ClientDialect());
+  } else if (p.direct_stmt) {
     auto entry = catalog_->Find(p.connection);
     // A failed catalog lookup is left unrendered; execution re-runs the
     // same lookup and surfaces the identical error.
@@ -646,6 +668,11 @@ std::shared_ptr<const cache::CachedPlan> DataAccessService::PrerenderPlan(
   for (size_t i = 0; i < p.subqueries.size(); ++i) {
     const SubQuery& sub = p.subqueries[i];
     cache::RenderedSubQuery& render = cached->subquery_renders[i];
+    if (sub.location == unity::Location::kRemote) {
+      // Forwarded in the client dialect; no cache_id (see Execute).
+      render.full_sql = sub.RenderSql(ClientDialect());
+      continue;
+    }
     auto entry = catalog_->Find(sub.table.connection);
     if (!entry.ok()) continue;  // execution surfaces the same error
     const sql::Dialect& dialect = entry->database->dialect();
@@ -729,12 +756,14 @@ Status DataAccessService::CheckPlanEpoch(const unity::QueryPlan& plan) const {
                             "; replan required");
 }
 
-Result<ResultSet> DataAccessService::QueryLocal(const sql::SelectStmt& stmt,
-                                                const std::string& fingerprint,
-                                                net::Cost* cost,
-                                                QueryStats* stats,
-                                                const CancelToken* cancel,
-                                                const std::string& tenant) {
+Result<ResultSet> DataAccessService::Execute(
+    const sql::SelectStmt& stmt, const std::string& fingerprint,
+    net::Cost* cost, QueryStats* stats, int forward_depth,
+    const std::string& forward_path, const CancelToken* cancel,
+    const std::string& tenant) {
+  const net::ServiceCosts& costs = transport_->costs();
+
+  // ---- plan ----
   const bool use_cache = config_.query_cache && !fingerprint.empty();
   // Routing-generation snapshot BEFORE the plan lookup: if a quarantine
   // lands mid-plan, the entry inserted below is tagged with the older
@@ -745,7 +774,7 @@ Result<ResultSet> DataAccessService::QueryLocal(const sql::SelectStmt& stmt,
     cached = cache_.LookupPlan(fingerprint, driver_.dictionary().epoch(),
                                routing_gen);
     if (cached) {
-      if (stats) ++stats->plan_cache_hits;
+      ++stats->plan_cache_hits;
       PlanCacheHitsCounter().Add(1);
     } else {
       PlanCacheMissesCounter().Add(1);
@@ -771,17 +800,19 @@ Result<ResultSet> DataAccessService::QueryLocal(const sql::SelectStmt& stmt,
     }
   }
   const unity::QueryPlan& plan = cached->plan;
-  if (stats) stats->tables = plan.logical_tables.size();
+  stats->tables = plan.logical_tables.size();
   if (post_plan_hook_) post_plan_hook_();
   // A schema change between planning and execution invalidates the
-  // physical names the plan baked in; fail cleanly so Query() replans
-  // against the fresh dictionary instead of running a stale plan.
+  // physical names (and the local/remote split) the plan baked in; fail
+  // cleanly so Query() replans against the fresh dictionary instead of
+  // running a stale plan.
   GRIDDB_RETURN_IF_ERROR(CheckPlanEpoch(plan));
   // Last pre-execution cancellation point: from here on, work costs money.
   if (cancel != nullptr) GRIDDB_RETURN_IF_ERROR(cancel->Check());
 
+  // ---- the whole statement on one local database ----
   if (plan.single_database) {
-    if (stats) stats->databases = 1;
+    stats->databases = 1;
     GRIDDB_ASSIGN_OR_RETURN(ral::DatabaseCatalog::Entry entry,
                             catalog_->Find(plan.connection));
     (void)entry;
@@ -792,7 +823,7 @@ Result<ResultSet> DataAccessService::QueryLocal(const sql::SelectStmt& stmt,
           ResultSet rs,
           pool_.Execute(plan.connection, cached->direct_fields,
                         cached->direct_tables, cached->direct_where, cost));
-      if (stats) ++stats->pool_ral_subqueries;
+      ++stats->pool_ral_subqueries;
       return rs;
     }
     // JDBC path for unsupported vendors or queries beyond the RAL form.
@@ -804,77 +835,143 @@ Result<ResultSet> DataAccessService::QueryLocal(const sql::SelectStmt& stmt,
                                             &jdbc_cost);
     GRIDDB_RETURN_IF_ERROR(rs.status());
     if (cost) cost->AddSequential(jdbc_cost);
-    if (stats) ++stats->jdbc_subqueries;
+    ++stats->jdbc_subqueries;
     return std::move(*rs);
   }
 
-  // Multi-database: route each sub-query, in parallel when enabled.
-  std::set<std::string> connections;
-  for (const SubQuery& sub : plan.subqueries) {
-    connections.insert(sub.table.connection);
-  }
-  if (stats) {
-    stats->databases = connections.size();
-    stats->distributed = true;
-  }
-  if (cost) {
-    // Decomposition overhead, then per-database connect/auth. The
-    // decomposed path opens fresh connections each time (no pooling in
-    // the prototype's driver), and connection setup is serialized by the
-    // driver manager even when fetches run in parallel.
-    cost->AddMs(transport_->costs().distribution_overhead_ms);
-    cost->AddMs(transport_->costs().connect_auth_ms *
-                static_cast<double>(connections.size()));
-  }
-
-  std::vector<std::pair<std::string, ResultSet>> partials(
-      plan.subqueries.size());
-  std::vector<net::Cost> branch_costs(plan.subqueries.size());
-  std::vector<QueryStats> branch_stats(plan.subqueries.size());
-  std::vector<Status> branch_status(plan.subqueries.size(), Status::Ok());
-
-  // One branch body shared by the parallel and serial paths: probe the
-  // per-sub-query result cache (so the unchanged side of a cross-database
-  // join is served from memory even when the other side misses), execute
-  // on a miss, insert on success. Cache entries are immutable shared rows;
-  // the partial gets a copy because the merge mutates its input.
-  auto run_branch = [&](size_t i) -> Status {
+  // ---- locate: RLS candidates for every remote sub-query ----
+  // Looked up on every execution (never cached in the plan). Each list
+  // is an ordered failover list: servers reachable right now first (RLS
+  // entries can be stale: a server may have died after publishing), the
+  // stale ones last — a dead server may come back, and failing over to
+  // it beats dropping it silently. Sub-queries are grouped by their
+  // first choice; each lookup is charged to the branch it resolves to.
+  struct Task {
+    std::vector<size_t> subs;  ///< Sub-query indexes, in plan order.
+    std::string server;        ///< Empty for a local sub-query.
+    double lookup_ms = 0;
+  };
+  const size_t n = plan.subqueries.size();
+  std::vector<std::vector<std::string>> candidates(n);
+  std::map<std::string, Task> remote_tasks;  // by first-choice server
+  std::set<std::string> local_connections;
+  std::vector<Task> tasks;
+  for (size_t i = 0; i < n; ++i) {
     const SubQuery& sub = plan.subqueries[i];
-    const cache::RenderedSubQuery& render = cached->subquery_renders[i];
-    // Every branch shares the query's token: the first sibling to observe
-    // a deadline expiry (or client abort) latches it, and the rest fail
-    // here before touching their backend.
-    if (cancel != nullptr) {
-      Status live = cancel->Check();
-      if (!live.ok()) {
-        ++branch_stats[i].cancelled_subqueries;
-        CancelledSubqueriesCounter().Add(1);
-        return live;
-      }
+    if (sub.location == unity::Location::kLocal) {
+      local_connections.insert(sub.table.connection);
+      tasks.push_back({{i}, "", 0});
+      continue;
     }
+    if (!rls_) {
+      return NotFound("table '" + sub.table.logical +
+                      "' is not registered locally and no RLS is configured");
+    }
+    stats->used_rls = true;
+    net::Cost lookup_cost;
+    GRIDDB_ASSIGN_OR_RETURN(
+        std::vector<std::string> urls,
+        rls_->Lookup(sub.table.logical, &lookup_cost, cancel));
+    // Never forward to ourselves (stale RLS entries).
+    urls.erase(std::remove(urls.begin(), urls.end(), config_.server_url),
+               urls.end());
+    std::vector<std::string> stale;
+    for (const std::string& url : urls) {
+      (transport_->Resolve(url).ok() ? candidates[i] : stale).push_back(url);
+    }
+    candidates[i].insert(candidates[i].end(), stale.begin(), stale.end());
+    if (candidates[i].empty()) {
+      if (cost) cost->AddMs(lookup_cost.total_ms());
+      return NotFound("table '" + sub.table.logical +
+                      "' is not registered with any JClarens server");
+    }
+    Task& task = remote_tasks[candidates[i].front()];
+    task.server = candidates[i].front();
+    task.subs.push_back(i);
+    task.lookup_ms += lookup_cost.total_ms();
+  }
+  stats->servers_contacted = 1 + remote_tasks.size();
+  stats->distributed = true;
+
+  // ---- the whole statement on one remote server ----
+  if (plan.direct_stmt && remote_tasks.size() == 1) {
+    const Task& task = remote_tasks.begin()->second;
+    if (cost) {
+      cost->AddMs(task.lookup_ms);
+      cost->AddMs(costs.connect_auth_ms);
+    }
+    // A failover target must host every table: intersect the per-table
+    // lists, keeping the first table's order (the preferred server is in
+    // all of them by construction).
+    std::vector<std::string> targets = candidates.front();
+    for (const std::vector<std::string>& other : candidates) {
+      targets.erase(std::remove_if(targets.begin(), targets.end(),
+                                   [&](const std::string& url) {
+                                     return std::find(other.begin(),
+                                                      other.end(), url) ==
+                                            other.end();
+                                   }),
+                    targets.end());
+    }
+    return RemoteQueryFailover(targets, plan.subqueries.front().table.logical,
+                               cached->direct_sql, cost, stats, forward_depth,
+                               forward_path, cancel, tenant);
+  }
+  if (!config_.enhanced_driver) {
+    return Unsupported(
+        "query spans more than one location; the baseline Unity driver "
+        "does not merge across them");
+  }
+
+  // ---- fan-out: one task per local sub-query, one per remote server ----
+  for (auto& [url, task] : remote_tasks) tasks.push_back(std::move(task));
+  stats->databases = local_connections.size();
+  std::vector<std::pair<std::string, ResultSet>> partials(n);
+  std::vector<Status> status(n, Status::Ok());
+  std::vector<net::Cost> task_costs(tasks.size());
+  std::vector<QueryStats> task_stats(tasks.size());
+
+  // A failed sub-query may be replaced by an empty partial when the
+  // operator opted in: a cancelled one under partial_on_deadline, any
+  // other under partial_results. A stale epoch never is — substituting
+  // would return rows computed against two schema versions; it fails the
+  // query so Query() replans.
+  auto substitutable = [this](const Status& error) {
+    if (IsEpochStale(error)) return false;
+    return error.code() == StatusCode::kDeadlineExceeded
+               ? config_.partial_on_deadline
+               : config_.partial_results;
+  };
+
+  // A local sub-query is routed (POOL-RAL or JDBC) and probes the
+  // per-sub-query result cache first, so the unchanged side of a
+  // cross-database join is served from memory even when the other side
+  // misses. Remote sub-queries never are: this server does not observe
+  // the remote tables' content versions, so a cached remote partial could
+  // never be invalidated.
+  auto fetch_local = [&](const SubQuery& sub,
+                         const cache::RenderedSubQuery& render,
+                         net::Cost* branch,
+                         QueryStats* branch_stats) -> Result<ResultSet> {
     std::string sub_key;
     if (use_cache && !render.cache_id.empty()) {
       sub_key = cache_.ResultKey(render.cache_id, plan.epoch,
                                  {ToLower(sub.table.logical)});
       if (cache::CachedResult hit = cache_.LookupResult(sub_key)) {
-        ++branch_stats[i].subquery_cache_hits;
+        ++branch_stats->subquery_cache_hits;
         SubqueryCacheHitsCounter().Add(1);
-        partials[i] = {sub.effective_name, ResultSet(*hit.result)};
-        return Status::Ok();
+        // Cache entries are immutable shared rows; the partial gets a
+        // copy because the merge mutates its input.
+        return ResultSet(*hit.result);
       }
       SubqueryCacheMissesCounter().Add(1);
     }
-    auto rs = ExecuteSubQueryRouted(sub, render, &branch_costs[i],
-                                    &branch_stats[i], cancel);
-    SubqueryMsHistogram().Observe(branch_costs[i].total_ms());
-    if (!rs.ok()) {
-      if (rs.status().code() == StatusCode::kDeadlineExceeded) {
-        ++branch_stats[i].cancelled_subqueries;
-        CancelledSubqueriesCounter().Add(1);
-      }
-      return rs.status();
-    }
-    if (!sub_key.empty()) {
+    net::Cost fetch_cost;
+    Result<ResultSet> rs =
+        ExecuteSubQueryRouted(sub, render, &fetch_cost, branch_stats, cancel);
+    SubqueryMsHistogram().Observe(fetch_cost.total_ms());
+    branch->AddSequential(fetch_cost);
+    if (rs.ok() && !sub_key.empty()) {
       // A fetch that raced a cancellation may be incomplete upstream;
       // tag it so the cache refuses it (satellite of the same rule that
       // keeps truncated whole-query results out).
@@ -884,110 +981,167 @@ Result<ResultSet> DataAccessService::QueryLocal(const sql::SelectStmt& stmt,
                           {ToLower(sub.table.logical)},
                           std::make_shared<ResultSet>(*rs), sub_meta);
     }
+    return rs;
+  };
+
+  // One sub-query, wherever it runs.
+  auto fetch = [&](size_t i, net::Cost* branch,
+                   QueryStats* branch_stats) -> Status {
+    const SubQuery& sub = plan.subqueries[i];
+    const cache::RenderedSubQuery& render = cached->subquery_renders[i];
+    // Every branch shares the query's token: the first sibling to observe
+    // a deadline expiry (or client abort) latches it, and the rest fail
+    // here before touching their backend.
+    if (cancel != nullptr) {
+      Status live = cancel->Check();
+      if (!live.ok()) {
+        ++branch_stats->cancelled_subqueries;
+        CancelledSubqueriesCounter().Add(1);
+        return live;
+      }
+    }
+    Result<ResultSet> rs =
+        sub.location == unity::Location::kRemote
+            ? RemoteQueryFailover(candidates[i], sub.table.logical,
+                                  render.full_sql, branch, branch_stats,
+                                  forward_depth, forward_path, cancel, tenant)
+            : fetch_local(sub, render, branch, branch_stats);
+    if (!rs.ok()) {
+      if (rs.status().code() == StatusCode::kDeadlineExceeded) {
+        ++branch_stats->cancelled_subqueries;
+        CancelledSubqueriesCounter().Add(1);
+      }
+      return rs.status();
+    }
     partials[i] = {sub.effective_name, std::move(*rs)};
     return Status::Ok();
   };
 
-  // Pool workers have no TLS span linkage to this thread, so the parent
-  // context is captured here and each branch opens its span under it
-  // explicitly — the same mechanism a remote server uses, minus the wire.
+  // One task: a local sub-query, or a remote server's fetches forwarded
+  // in plan order over one connection. Returns false after a failure the
+  // query cannot substitute, at which point the task stops. Pool workers
+  // have no TLS span linkage to this thread, so the parent context is
+  // captured here and each task opens its span under it explicitly — the
+  // same mechanism a remote server uses, minus the wire.
   const obs::SpanContext fanout_parent = tracer_.CurrentContext();
-  if (config_.enhanced_driver && config_.parallel_subqueries &&
-      plan.subqueries.size() > 1) {
-    std::vector<std::future<Status>> futures;
-    futures.reserve(plan.subqueries.size());
-    for (size_t i = 0; i < plan.subqueries.size(); ++i) {
+  auto run_task = [&](size_t t) -> bool {
+    const Task& task = tasks[t];
+    obs::Span span =
+        tracer_.StartSpanUnder("dataaccess.subquery", fanout_parent);
+    if (span.active()) {
+      std::vector<std::string> names;
+      for (size_t i : task.subs) {
+        names.push_back(plan.subqueries[i].effective_name);
+      }
+      span.AddAttr("table", Join(names, ","));
+      if (!task.server.empty()) span.AddAttr("server", task.server);
+    }
+    if (!task.server.empty()) {
+      task_costs[t].AddMs(task.lookup_ms);
+      task_costs[t].AddMs(costs.connect_auth_ms);
+    }
+    for (size_t i : task.subs) {
+      status[i] = fetch(i, &task_costs[t], &task_stats[t]);
+      if (status[i].ok()) continue;
+      if (span.active()) span.SetError(status[i].ToString());
+      if (!substitutable(status[i])) return false;
+    }
+    return true;
+  };
+
+  if (config_.parallel_subqueries) {
+    std::vector<std::future<bool>> futures;
+    futures.reserve(tasks.size());
+    for (size_t t = 0; t < tasks.size(); ++t) {
       futures.push_back(
-          workers_.Submit([this, &plan, &run_branch, fanout_parent,
-                           i]() -> Status {
-            obs::Span sub_span =
-                tracer_.StartSpanUnder("dataaccess.subquery", fanout_parent);
-            sub_span.AddAttr("table", plan.subqueries[i].effective_name);
-            Status branch = run_branch(i);
-            if (!branch.ok() && sub_span.active()) {
-              sub_span.SetError(branch.ToString());
-            }
-            return branch;
-          }));
+          workers_.Submit([&run_task, t] { return run_task(t); }));
     }
-    for (size_t i = 0; i < futures.size(); ++i) {
+    for (size_t t = 0; t < futures.size(); ++t) {
       try {
-        branch_status[i] = futures[i].get();
+        futures[t].get();
       } catch (const std::future_error&) {
-        // Bounded worker queue rejected the task (broken promise): the
-        // branch never ran. Shed it the same way admission sheds a whole
-        // query, hint included, so RetryPolicy treats it as retryable.
-        branch_status[i] = ResourceExhausted(
-            "sub-query rejected: worker queue full; retry_after_ms=" +
-            std::to_string(static_cast<long long>(
-                config_.admission.retry_after_ms)));
-      }
-    }
-    if (cost) cost->AddParallel(branch_costs);
-  } else {
-    for (size_t i = 0; i < plan.subqueries.size(); ++i) {
-      obs::Span sub_span = tracer_.StartSpan("dataaccess.subquery");
-      sub_span.AddAttr("table", plan.subqueries[i].effective_name);
-      Status branch = run_branch(i);
-      if (!branch.ok() && sub_span.active()) {
-        sub_span.SetError(branch.ToString());
-      }
-      sub_span.End();
-      if (!branch.ok()) {
-        // Fail-fast (seed behaviour) unless a partial mode may substitute
-        // for this failure; the resolution loop below decides which.
-        const bool was_cancelled =
-            branch.code() == StatusCode::kDeadlineExceeded;
-        if (was_cancelled ? !config_.partial_on_deadline
-                          : !config_.partial_results) {
-          return branch;
+        // Bounded worker queue rejected the task (broken promise): it
+        // never ran. Shed it the same way admission sheds a whole query,
+        // hint included, so RetryPolicy treats it as retryable.
+        for (size_t i : tasks[t].subs) {
+          status[i] = ResourceExhausted(
+              "sub-query rejected: worker queue full; retry_after_ms=" +
+              std::to_string(static_cast<long long>(
+                  config_.admission.retry_after_ms)));
         }
-        branch_status[i] = branch;
       }
-      if (cost) cost->AddSequential(branch_costs[i]);
     }
-  }
-  // Resolve failed branches: whole-query failure by default, or an empty
-  // substitute partial (schema from the planned field aliases) plus an
-  // error-report line in partial-results mode.
-  for (size_t i = 0; i < branch_status.size(); ++i) {
-    if (branch_status[i].ok()) continue;
-    // A stale-epoch branch must fail the whole query so it gets
-    // replanned — substituting an empty partial would silently return
-    // rows computed against two different schema versions.
-    if (IsEpochStale(branch_status[i])) return branch_status[i];
-    // A cancelled branch fails the whole query with kDeadlineExceeded
-    // unless the operator opted into deadline-truncated partials; other
-    // failures follow the ordinary partial-results switch.
-    const bool was_cancelled =
-        branch_status[i].code() == StatusCode::kDeadlineExceeded;
-    if (was_cancelled ? !config_.partial_on_deadline
-                      : !config_.partial_results) {
-      return branch_status[i];
-    }
-    const SubQuery& sub = plan.subqueries[i];
-    std::vector<std::string> columns;
-    columns.reserve(sub.fields.size());
-    for (const auto& [physical, logical] : sub.fields) {
-      (void)physical;
-      columns.push_back(ToLower(logical));
-    }
-    partials[i] = {sub.effective_name, EmptyPartial(std::move(columns))};
-    if (stats) {
-      ++stats->subqueries_failed;
-      stats->subquery_errors.push_back(sub.effective_name + ": " +
-                                       branch_status[i].ToString());
-    }
-  }
-  if (stats) {
-    for (const QueryStats& branch : branch_stats) {
-      stats->pool_ral_subqueries += branch.pool_ral_subqueries;
-      stats->jdbc_subqueries += branch.jdbc_subqueries;
-      stats->subquery_cache_hits += branch.subquery_cache_hits;
-      stats->cancelled_subqueries += branch.cancelled_subqueries;
+  } else {
+    // Serial mode fails fast: no task starts after one the query cannot
+    // survive.
+    for (size_t t = 0; t < tasks.size(); ++t) {
+      if (!run_task(t)) break;
     }
   }
 
+  // Distributed cost: decomposition overhead, then the branches in
+  // parallel (they run on different machines). The local branch pays a
+  // fresh connect/auth per planned database — the decomposed path opens
+  // fresh connections each time, serialized by the driver manager — then
+  // its fetches in parallel (summed in serial mode). Each remote branch
+  // pays its RLS lookups, one connect/auth and its forwards in sequence.
+  if (cost) {
+    net::Cost local_branch;
+    local_branch.AddMs(costs.connect_auth_ms *
+                       static_cast<double>(local_connections.size()));
+    std::vector<net::Cost> local_fetches;
+    std::vector<net::Cost> branches;
+    for (size_t t = 0; t < tasks.size(); ++t) {
+      if (!tasks[t].server.empty()) {
+        branches.push_back(task_costs[t]);
+      } else if (config_.parallel_subqueries) {
+        local_fetches.push_back(task_costs[t]);
+      } else {
+        local_branch.AddSequential(task_costs[t]);
+      }
+    }
+    local_branch.AddParallel(local_fetches);
+    if (!local_connections.empty()) branches.push_back(local_branch);
+    cost->AddMs(costs.distribution_overhead_ms);
+    cost->AddParallel(branches);
+  }
+  for (const QueryStats& branch : task_stats) AddStats(stats, branch);
+
+  // ---- resolve failed sub-queries, once ----
+  // Whole-query failure by default, or an empty substitute partial plus
+  // an error-report line. The substitute's schema is the planned fields
+  // for a local table and the statement's references for a remote one
+  // (its schema is unknown here), so the merge still binds: inner joins
+  // against it yield no rows, LEFT JOINs NULL-pad.
+  for (size_t i = 0; i < n; ++i) {
+    if (status[i].ok()) continue;
+    if (!substitutable(status[i])) return status[i];
+    const SubQuery& sub = plan.subqueries[i];
+    std::vector<std::string> columns;
+    if (sub.location == unity::Location::kRemote) {
+      columns = ReferencedColumns(stmt, sub.effective_name);
+    } else {
+      for (const auto& [physical, logical] : sub.fields) {
+        (void)physical;
+        columns.push_back(ToLower(logical));
+      }
+    }
+    partials[i] = {sub.effective_name, EmptyPartial(std::move(columns))};
+    ++stats->subqueries_failed;
+    stats->subquery_errors.push_back(sub.effective_name + ": " +
+                                     status[i].ToString());
+  }
+
+  // ---- merge ----
+  // A budget that ran out while the branches ran fails the query here,
+  // whichever branch noticed first; with partial_on_deadline the merge
+  // instead finishes, unchecked, over the rows that were fetched.
+  const CancelToken* merge_cancel = cancel;
+  if (cancel != nullptr) {
+    Status live = cancel->Check();
+    if (!live.ok() && !config_.partial_on_deadline) return live;
+    if (!live.ok()) merge_cancel = nullptr;
+  }
   // The merge materializes every partial in middleware memory; reserve
   // that footprint against the byte budget so concurrent cross-database
   // joins cannot grow the heap without bound. Shed (kResourceExhausted)
@@ -1002,7 +1156,8 @@ Result<ResultSet> DataAccessService::QueryLocal(const sql::SelectStmt& stmt,
 
   obs::Span merge_span = tracer_.StartSpan("dataaccess.merge");
   auto merged =
-      unity::MergePartials(*plan.merge_stmt, std::move(partials), cancel);
+      unity::MergePartials(*plan.merge_stmt, std::move(partials),
+                           merge_cancel);
   if (!merged.ok()) {
     if (merge_span.active()) merge_span.SetError(merged.status().ToString());
     return merged.status();
@@ -1012,7 +1167,7 @@ Result<ResultSet> DataAccessService::QueryLocal(const sql::SelectStmt& stmt,
   }
   merge_span.End();
   if (cost) {
-    cost->AddMs(transport_->costs().integrate_per_row_ms *
+    cost->AddMs(costs.integrate_per_row_ms *
                 static_cast<double>(merged->num_rows()));
   }
   return std::move(*merged);
@@ -1106,25 +1261,7 @@ Result<ResultSet> DataAccessService::RemoteQuery(
   }
   if (stats) {
     auto remote_stats = response->Member("stats");
-    if (remote_stats.ok()) {
-      QueryStats remote = StatsFromRpc(**remote_stats);
-      stats->pool_ral_subqueries += remote.pool_ral_subqueries;
-      stats->jdbc_subqueries += remote.jdbc_subqueries;
-      stats->databases += remote.databases;
-      stats->retries += remote.retries;
-      stats->failovers += remote.failovers;
-      stats->subqueries_failed += remote.subqueries_failed;
-      stats->breaker_skips += remote.breaker_skips;
-      stats->replans += remote.replans;
-      stats->plan_cache_hits += remote.plan_cache_hits;
-      stats->result_cache_hits += remote.result_cache_hits;
-      stats->subquery_cache_hits += remote.subquery_cache_hits;
-      stats->cancelled_subqueries += remote.cancelled_subqueries;
-      stats->stale = stats->stale || remote.stale;
-      for (std::string& line : remote.subquery_errors) {
-        stats->subquery_errors.push_back(std::move(line));
-      }
-    }
+    if (remote_stats.ok()) AddStats(stats, StatsFromRpc(**remote_stats));
   }
   return rs;
 }
@@ -1209,283 +1346,6 @@ Result<ResultSet> DataAccessService::RemoteQueryFailover(
     previous_failed = true;
   }
   return last_error;
-}
-
-Result<ResultSet> DataAccessService::QueryWithRemote(
-    const sql::SelectStmt& stmt,
-    const std::vector<const sql::TableRef*>& missing, net::Cost* cost,
-    QueryStats* stats, int forward_depth, const std::string& forward_path,
-    const CancelToken* cancel, const std::string& tenant) {
-  if (!rls_) {
-    return NotFound("table '" + missing.front()->table +
-                    "' is not registered locally and no RLS is configured");
-  }
-  if (stats) stats->used_rls = true;
-
-  // Locate every missing table through the RLS. The returned replicas
-  // become an ordered failover list: servers that are reachable right now
-  // first (RLS entries can be stale: a server may have died after
-  // publishing), the stale ones last — a dead server may come back, and
-  // failing over to it beats dropping it silently. Lookup costs are
-  // attributed to the remote branch they resolve to (lookups for server X
-  // overlap with fetches from other machines).
-  std::map<std::string, std::vector<std::string>> table_candidates;
-  std::map<std::string, std::string> table_to_server;  // logical -> 1st url
-  std::set<std::string> remote_servers;
-  std::map<std::string, double> lookup_ms_by_server;
-  double total_lookup_ms = 0;
-  for (const sql::TableRef* ref : missing) {
-    net::Cost lookup_cost;
-    GRIDDB_ASSIGN_OR_RETURN(
-        std::vector<std::string> urls,
-        rls_->Lookup(ToLower(ref->table), &lookup_cost, cancel));
-    // Never forward to ourselves (stale RLS entries).
-    urls.erase(std::remove(urls.begin(), urls.end(), config_.server_url),
-               urls.end());
-    std::vector<std::string> candidates;
-    std::vector<std::string> stale;
-    for (const std::string& url : urls) {
-      (transport_->Resolve(url).ok() ? candidates : stale).push_back(url);
-    }
-    candidates.insert(candidates.end(), stale.begin(), stale.end());
-    if (candidates.empty()) {
-      if (cost) cost->AddMs(lookup_cost.total_ms());
-      return NotFound("table '" + ref->table +
-                      "' is not registered with any JClarens server");
-    }
-    const std::string& chosen = candidates.front();
-    table_to_server[ToLower(ref->table)] = chosen;
-    remote_servers.insert(chosen);
-    lookup_ms_by_server[chosen] += lookup_cost.total_ms();
-    total_lookup_ms += lookup_cost.total_ms();
-    table_candidates[ToLower(ref->table)] = std::move(candidates);
-  }
-  if (stats) stats->servers_contacted = 1 + remote_servers.size();
-
-  std::vector<const sql::TableRef*> all_tables = stmt.AllTables();
-  bool any_local = false;
-  for (const sql::TableRef* ref : all_tables) {
-    if (driver_.dictionary().HasTable(ref->table)) any_local = true;
-  }
-
-  // Whole-query forwarding: every table lives on one remote server.
-  if (!any_local && remote_servers.size() == 1) {
-    if (stats) {
-      stats->tables = all_tables.size();
-      stats->distributed = true;
-    }
-    if (cost) {
-      cost->AddMs(total_lookup_ms);
-      cost->AddMs(transport_->costs().connect_auth_ms);
-    }
-    // A failover target must host every missing table: intersect the
-    // per-table lists, keeping the first table's order (the preferred
-    // server is in all of them by construction).
-    std::vector<std::string> candidates =
-        table_candidates[ToLower(missing.front()->table)];
-    for (const sql::TableRef* ref : missing) {
-      const std::vector<std::string>& other =
-          table_candidates[ToLower(ref->table)];
-      candidates.erase(
-          std::remove_if(candidates.begin(), candidates.end(),
-                         [&](const std::string& url) {
-                           return std::find(other.begin(), other.end(), url) ==
-                                  other.end();
-                         }),
-          candidates.end());
-    }
-    std::string text = sql::RenderSelect(stmt, ClientDialect());
-    return RemoteQueryFailover(candidates, missing.front()->table, text, cost,
-                               stats, forward_depth, forward_path, cancel,
-                               tenant);
-  }
-
-  // Mixed: fetch a partial per table reference (local tables through the
-  // local driver, remote ones from their hosting server), merge here.
-  if (stats) {
-    stats->tables = all_tables.size();
-    stats->distributed = true;
-  }
-
-  // Tables on the nullable side of a LEFT JOIN must be fetched whole
-  // (see unity/planner.cc: pushdown there changes NULL-padding at merge).
-  std::set<std::string> nullable_sides;
-  for (const sql::Join& join : stmt.joins) {
-    if (join.type == sql::JoinType::kLeft) {
-      nullable_sides.insert(ToLower(join.table.EffectiveName()));
-    }
-  }
-
-  // Pushable conjuncts: qualified entirely with one effective name.
-  auto pushed_for = [&](const std::string& effective) -> sql::ExprPtr {
-    if (nullable_sides.count(ToLower(effective))) return nullptr;
-    std::vector<sql::ExprPtr> kept;
-    for (const sql::Expr* conjunct : sql::SplitConjuncts(stmt.where.get())) {
-      std::vector<const sql::ColumnRef*> refs;
-      sql::CollectColumnRefs(*conjunct, refs);
-      if (refs.empty()) continue;
-      bool all_this_table = true;
-      for (const sql::ColumnRef* ref : refs) {
-        if (ref->table.empty() || !EqualsIgnoreCase(ref->table, effective)) {
-          all_this_table = false;
-          break;
-        }
-      }
-      if (!all_this_table) continue;
-      sql::ExprPtr copy = conjunct->Clone();
-      // Strip the qualifier: the partial fetch addresses a single table.
-      std::function<void(sql::Expr&)> strip = [&](sql::Expr& e) {
-        if (e.kind == sql::Expr::Kind::kColumn) e.column_ref.table.clear();
-        for (sql::ExprPtr& child : e.children) strip(*child);
-      };
-      strip(*copy);
-      kept.push_back(std::move(copy));
-    }
-    return sql::ConjunctionOf(std::move(kept));
-  };
-
-  // One fetch per table reference, grouped by where it executes: the
-  // local group plus one group per remote server. Groups run as parallel
-  // branches (they hit different machines); within a group the fetches
-  // are serial, and each group pays the fresh connect/auth of the
-  // distributed path once per database/server.
-  struct Fetch {
-    std::string effective;
-    std::string table;  // lower-case logical name
-    std::string sql;
-    bool local = false;
-    std::string url;  // remote server when !local
-  };
-  std::vector<Fetch> local_group;
-  std::map<std::string, std::vector<Fetch>> remote_groups;  // by server url
-  std::set<std::string> local_connections;
-  for (const sql::TableRef* ref : all_tables) {
-    Fetch fetch;
-    fetch.effective = ref->EffectiveName();
-    fetch.table = ToLower(ref->table);
-    sql::ExprPtr pushed = stmt.where ? pushed_for(fetch.effective) : nullptr;
-    fetch.sql = "SELECT * FROM " + ToLower(ref->table);
-    if (pushed) {
-      fetch.sql += " WHERE " + sql::RenderExpr(*pushed, ClientDialect());
-    }
-    if (driver_.dictionary().HasTable(ref->table)) {
-      fetch.local = true;
-      for (const unity::TableBinding& b :
-           driver_.dictionary().Locate(ref->table)) {
-        local_connections.insert(b.connection);
-        break;  // fresh connect charged for the replica actually used
-      }
-      local_group.push_back(std::move(fetch));
-    } else {
-      fetch.url = table_to_server[fetch.table];
-      remote_groups[fetch.url].push_back(std::move(fetch));
-    }
-  }
-  if (cost) cost->AddMs(transport_->costs().distribution_overhead_ms);
-
-  std::vector<std::pair<std::string, ResultSet>> partials;
-  std::vector<net::Cost> branch_costs;
-
-  // Partial-results substitution for a failed fetch: an empty set with a
-  // best-effort schema so the merge still binds (dictionary for local
-  // tables, referenced columns otherwise).
-  auto record_failed_fetch = [&](const Fetch& fetch, const Status& error,
-                                 std::vector<std::pair<std::string, ResultSet>>*
-                                     out) {
-    std::vector<std::string> columns;
-    if (fetch.local) {
-      for (const unity::TableBinding& b :
-           driver_.dictionary().Locate(fetch.table)) {
-        for (const unity::ColumnBinding& col : b.columns) {
-          columns.push_back(ToLower(col.logical));
-        }
-        break;
-      }
-    } else {
-      columns = ReferencedColumns(stmt, fetch.effective);
-    }
-    if (stats) {
-      ++stats->subqueries_failed;
-      stats->subquery_errors.push_back(fetch.effective + ": " +
-                                       error.ToString());
-    }
-    out->emplace_back(fetch.effective, EmptyPartial(std::move(columns)));
-  };
-
-  // Failed-fetch policy shared by the local and remote groups: cancelled
-  // fetches follow partial_on_deadline, everything else partial_results
-  // (same split as QueryLocal's branch resolution).
-  auto substitutable = [&](const Status& error) {
-    return error.code() == StatusCode::kDeadlineExceeded
-               ? config_.partial_on_deadline
-               : config_.partial_results;
-  };
-
-  if (!local_group.empty()) {
-    net::Cost branch;
-    branch.AddMs(transport_->costs().connect_auth_ms *
-                 static_cast<double>(local_connections.size()));
-    for (const Fetch& fetch : local_group) {
-      if (cancel != nullptr) {
-        Status live = cancel->Check();
-        if (!live.ok() && !substitutable(live)) return live;
-      }
-      Result<ResultSet> partial = driver_.Query(fetch.sql, &branch, cancel);
-      if (!partial.ok()) {
-        if (!substitutable(partial.status())) return partial.status();
-        record_failed_fetch(fetch, partial.status(), &partials);
-        continue;
-      }
-      partials.emplace_back(fetch.effective, std::move(*partial));
-    }
-    branch_costs.push_back(branch);
-  }
-  for (const auto& [url, fetches] : remote_groups) {
-    net::Cost branch;
-    branch.AddMs(lookup_ms_by_server[url]);
-    branch.AddMs(transport_->costs().connect_auth_ms);
-    for (const Fetch& fetch : fetches) {
-      Result<ResultSet> partial =
-          RemoteQueryFailover(table_candidates[fetch.table], fetch.table,
-                              fetch.sql, &branch, stats, forward_depth,
-                              forward_path, cancel, tenant);
-      if (!partial.ok()) {
-        if (!substitutable(partial.status())) return partial.status();
-        record_failed_fetch(fetch, partial.status(), &partials);
-        continue;
-      }
-      partials.emplace_back(fetch.effective, std::move(*partial));
-    }
-    branch_costs.push_back(branch);
-  }
-  if (cost) cost->AddParallel(branch_costs);
-
-  // Merge statement: original with table refs renamed to effective names.
-  std::unique_ptr<sql::SelectStmt> merge_stmt = stmt.Clone();
-  for (sql::TableRef& ref : merge_stmt->from) {
-    ref.table = ref.EffectiveName();
-    ref.alias.clear();
-  }
-  for (sql::Join& join : merge_stmt->joins) {
-    join.table.table = join.table.EffectiveName();
-    join.table.alias.clear();
-  }
-  // Same merge-memory bound as QueryLocal: the integrate step holds every
-  // partial (local rows and remote transfers alike) in middleware memory,
-  // plus the vectorized executor's columnar copy (~2x, see DESIGN.md §15).
-  size_t merge_bytes = 0;
-  for (const auto& partial : partials) merge_bytes += partial.second.WireSize();
-  merge_bytes *= 2;
-  GRIDDB_ASSIGN_OR_RETURN(AdmissionController::MemoryLease merge_lease,
-                          admission_.ReserveMergeMemory(merge_bytes, tenant));
-  GRIDDB_ASSIGN_OR_RETURN(
-      ResultSet merged,
-      unity::MergePartials(*merge_stmt, std::move(partials), cancel));
-  if (cost) {
-    cost->AddMs(transport_->costs().integrate_per_row_ms *
-                static_cast<double>(merged.num_rows()));
-  }
-  return merged;
 }
 
 Status DataAccessService::CheckTenantGrants(
@@ -1655,29 +1515,20 @@ Result<ResultSet> DataAccessService::Query(const std::string& sql_text,
     if (auto hit = try_result_cache()) return finish(std::move(*hit));
   }
 
-  std::vector<const sql::TableRef*> missing;
-  for (const sql::TableRef* ref : stmt->AllTables()) {
-    if (!driver_.dictionary().HasTable(ref->table)) missing.push_back(ref);
-  }
-
-  Result<ResultSet> result =
-      missing.empty()
-          ? QueryLocal(*stmt, fingerprint, &cost, st, cancel, ctx.tenant)
-          : QueryWithRemote(*stmt, missing, &cost, st, forward_depth,
-                            forward_path, cancel, ctx.tenant);
   // A plan invalidated by a concurrent schema change is rebuilt against
   // the fresh dictionary, a bounded number of times (a schema churning
   // faster than we can plan is a real failure, not a retry candidate).
+  auto execute = [&] {
+    return Execute(*stmt, fingerprint, &cost, st, forward_depth,
+                   forward_path, cancel, ctx.tenant);
+  };
+  Result<ResultSet> result = execute();
   for (int replan = 0;
        replan < 2 && !result.ok() && IsEpochStale(result.status());
        ++replan) {
     ++st->replans;
     ReplansCounter().Add(1);
-    result = missing.empty()
-                 ? QueryLocal(*stmt, fingerprint, &cost, st, cancel,
-                              ctx.tenant)
-                 : QueryWithRemote(*stmt, missing, &cost, st, forward_depth,
-                                   forward_path, cancel, ctx.tenant);
+    result = execute();
   }
   if (!result.ok()) {
     // Stale-while-revalidate: with every replica down (or quarantined, or

@@ -2,14 +2,15 @@
 //
 // One instance runs inside each JClarens server. It:
 //  - registers databases (XSpec pairs) into the Unity data dictionary;
-//  - answers SQL queries over the *logical* schema: queries whose tables
-//    are all locally registered are decomposed into per-mart sub-queries,
+//  - answers SQL queries over the *logical* schema along one execution
+//    path: the Unity planner binds every table to a location (a local
+//    mart, or the remote JClarens servers the Replica Location Service
+//    names for a table not registered here); the statement then runs
+//    whole at one location, or as per-location sub-queries — local ones
 //    routed to the POOL-RAL wrapper (POOL-supported vendors) or the
-//    JDBC/Unity path (everything else), executed in parallel, and merged
-//    (cross-database joins included) into a single 2-D result;
-//  - falls back to the Replica Location Service for tables that are NOT
-//    locally registered, forwarding (sub-)queries to the remote JClarens
-//    servers that host them and integrating the returned rows.
+//    JDBC/Unity path (everything else), remote ones forwarded — executed
+//    in parallel and merged (cross-database joins included) into a
+//    single 2-D result.
 #pragma once
 
 #include <atomic>
@@ -273,7 +274,7 @@ class DataAccessService {
   /// opens its server-side span here so Query's spans nest under it.
   obs::Tracer& tracer() { return tracer_; }
 
-  /// Test seam: runs after a local plan is built and before it executes,
+  /// Test seam: runs after a plan is built and before it executes,
   /// the window a concurrent schema change races into.
   void set_post_plan_hook(std::function<void()> hook) {
     post_plan_hook_ = std::move(hook);
@@ -286,20 +287,21 @@ class DataAccessService {
   /// plan and pre-renders every per-dialect SQL string execution needs.
   std::shared_ptr<const cache::CachedPlan> PrerenderPlan(
       unity::QueryPlan plan) const;
-  /// `fingerprint` is empty when the query cache is off for this query.
+  /// The one federated execution path (paper §4.5): plan (or reuse the
+  /// cached plan), check its epoch, then run the whole statement at one
+  /// location, or every sub-query at its location in one fan-out on
+  /// `workers_` followed by one merge. `fingerprint` is empty when the
+  /// query cache is off for this query. `stats` must be non-null.
   /// `cancel` (nullable) is the query's shared cancellation token; it is
-  /// checked at row-batch granularity in the executor and before every
-  /// sub-query branch starts work.
-  Result<storage::ResultSet> QueryLocal(const sql::SelectStmt& stmt,
-                                        const std::string& fingerprint,
-                                        net::Cost* cost, QueryStats* stats,
-                                        const CancelToken* cancel,
-                                        const std::string& tenant);
-  Result<storage::ResultSet> QueryWithRemote(
-      const sql::SelectStmt& stmt,
-      const std::vector<const sql::TableRef*>& missing, net::Cost* cost,
-      QueryStats* stats, int forward_depth, const std::string& forward_path,
-      const CancelToken* cancel, const std::string& tenant);
+  /// checked before every sub-query and at row-batch granularity in the
+  /// merge.
+  Result<storage::ResultSet> Execute(const sql::SelectStmt& stmt,
+                                     const std::string& fingerprint,
+                                     net::Cost* cost, QueryStats* stats,
+                                     int forward_depth,
+                                     const std::string& forward_path,
+                                     const CancelToken* cancel,
+                                     const std::string& tenant);
 
   /// Plan-time grant check: Ok when no RBAC catalog is configured,
   /// otherwise CheckSelect against `tenant` with mart resolution through

@@ -213,17 +213,9 @@ void JClarensServer::RegisterMethods() {
              rpc::CallContext& ctx) -> Result<XmlRpcValue> {
         (void)ctx;
         GRIDDB_ASSIGN_OR_RETURN(std::string sql, StringParam(params, 0));
-        auto plan = service_.driver().Plan(sql);
-        if (!plan.ok()) {
-          if (plan.status().code() == StatusCode::kNotFound) {
-            return XmlRpcValue(
-                "plan involves tables not registered locally; execution "
-                "would consult the RLS (" +
-                plan.status().message() + ")");
-          }
-          return plan.status();
-        }
-        return XmlRpcValue(unity::DescribePlan(*plan));
+        GRIDDB_ASSIGN_OR_RETURN(unity::QueryPlan plan,
+                                service_.driver().Plan(sql));
+        return XmlRpcValue(unity::DescribePlan(plan));
       });
 
   (void)server_.RegisterMethod(

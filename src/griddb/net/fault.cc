@@ -31,13 +31,17 @@ bool FaultPlan::HostDownAt(const std::string& host, double now_ms) const {
 
 MessageFate FaultPlan::DrawMessageFate(const std::string& a,
                                        const std::string& b,
-                                       double* delay_ms) {
+                                       double* delay_ms, size_t bytes) {
   std::lock_guard<std::mutex> lock(mu_);
   LinkFaultSpec spec = default_faults_;
   auto it = link_faults_.find(PairKey(a, b));
   if (it != link_faults_.end()) spec = it->second;
   if (!spec.Faulty()) return MessageFate::kDeliver;
-  double draw = rng_.NextDouble();
+  const std::string stream = a + ">" + b + "#" + std::to_string(bytes);
+  uint64_t key = seed_;
+  for (unsigned char c : stream) key = (key ^ c) * 0x100000001b3ull;
+  Rng rng(key ^ (0x9e3779b97f4a7c15ull * ++stream_draws_[stream]));
+  double draw = rng.NextDouble();
   if (draw < spec.drop_probability) return MessageFate::kDrop;
   draw -= spec.drop_probability;
   if (draw < spec.corrupt_probability) return MessageFate::kCorrupt;

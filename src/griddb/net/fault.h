@@ -5,10 +5,10 @@
 // §5 measures only the happy path. A FaultPlan attached to a Network
 // delivers the unhappy ones reproducibly: host down-windows are intervals
 // on the network's virtual clock, and per-link message faults (drop,
-// corrupt, delay) are drawn from a seeded RNG so a given plan replays
-// identically run-to-run. Injection is consulted only from the wire-level
-// transfer path; when no plan is installed that path is byte-for-byte the
-// plain cost computation.
+// corrupt, delay) are drawn from seeded per-stream sequences so a given
+// plan replays identically run-to-run. Injection is consulted only from
+// the wire-level transfer path; when no plan is installed that path is
+// byte-for-byte the plain cost computation.
 #pragma once
 
 #include <cstdint>
@@ -49,11 +49,13 @@ struct FaultCounters {
 /// What the plan decided for one message.
 enum class MessageFate { kDeliver, kDrop, kCorrupt, kDelay };
 
-/// A deterministic fault schedule. Thread-safe; one RNG stream is shared
-/// by all links so fates depend only on the global message order.
+/// A deterministic fault schedule. Thread-safe. Messages are grouped into
+/// streams by direction and size, and the n-th message of a stream always
+/// draws the same fate: concurrent branches of one query (which interleave
+/// their messages in thread order) cannot perturb each other's fates.
 class FaultPlan {
  public:
-  explicit FaultPlan(uint64_t seed = 2005) : rng_(seed) {}
+  explicit FaultPlan(uint64_t seed = 2005) : seed_(seed) {}
 
   /// `host` answers nothing while the virtual clock is in [start, end) ms.
   void AddDownWindow(const std::string& host, double start_ms, double end_ms);
@@ -66,10 +68,10 @@ class FaultPlan {
 
   bool HostDownAt(const std::string& host, double now_ms) const;
 
-  /// Draws the fate of the next message a -> b (advances the RNG). On
-  /// kDelay, `*delay_ms` receives the extra stall.
+  /// Draws the fate of the next `bytes`-sized message a -> b (advances
+  /// that stream). On kDelay, `*delay_ms` receives the extra stall.
   MessageFate DrawMessageFate(const std::string& a, const std::string& b,
-                              double* delay_ms);
+                              double* delay_ms, size_t bytes = 0);
 
  private:
   struct DownWindow {
@@ -82,7 +84,8 @@ class FaultPlan {
   }
 
   mutable std::mutex mu_;
-  Rng rng_;
+  uint64_t seed_;
+  std::map<std::string, uint64_t> stream_draws_;  ///< Draws per stream.
   std::map<std::string, std::vector<DownWindow>> down_;
   std::map<std::string, LinkFaultSpec> link_faults_;
   LinkFaultSpec default_faults_;

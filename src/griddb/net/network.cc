@@ -1,5 +1,6 @@
 #include "griddb/net/network.h"
 
+#include <algorithm>
 #include <mutex>
 
 #include "griddb/obs/metrics.h"
@@ -113,6 +114,12 @@ void Network::AdvanceClockMs(double ms) {
   clock_ms_ += ms;
 }
 
+void Network::AdvanceClockMs(double ms, double limit_ms) {
+  if (ms <= 0) return;
+  std::lock_guard<std::mutex> lock(fault_mu_);
+  clock_ms_ = std::max(clock_ms_, std::min(clock_ms_ + ms, limit_ms));
+}
+
 bool Network::HostDownNow(const std::string& host) const {
   std::shared_ptr<FaultPlan> plan;
   double now = 0;
@@ -153,7 +160,7 @@ Result<double> Network::WireTransferMs(const std::string& a,
     return Unavailable("host '" + b + "' is down");
   }
   double delay_ms = 0;
-  switch (plan->DrawMessageFate(a, b, &delay_ms)) {
+  switch (plan->DrawMessageFate(a, b, &delay_ms, bytes)) {
     case MessageFate::kDrop:
       count(&FaultCounters::drops);
       return Timeout("message " + a + " -> " + b + " lost in transit");
@@ -202,7 +209,7 @@ Result<double> Network::WireDeliverMs(const std::string& a,
     return Unavailable("host '" + b + "' is down");
   }
   double delay_ms = 0;
-  switch (plan->DrawMessageFate(a, b, &delay_ms)) {
+  switch (plan->DrawMessageFate(a, b, &delay_ms, payload->size())) {
     case MessageFate::kDrop:
       count(&FaultCounters::drops);
       return Timeout("message " + a + " -> " + b + " lost in transit");

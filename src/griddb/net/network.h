@@ -105,6 +105,12 @@ class Network {
   /// down-windows are evaluated against it.
   double NowMs() const;
   void AdvanceClockMs(double ms);
+  /// Advances the clock by `ms`, but never past `limit_ms` (and never
+  /// backwards). A deadline-bounded RPC attempt charges through this:
+  /// branches of one query run concurrently and share this clock, so a
+  /// plain sum would push it past the deadline they share by whatever
+  /// the siblings charged while the attempt was in flight.
+  void AdvanceClockMs(double ms, double limit_ms);
 
   /// True when `host` is inside a down-window at the current clock.
   bool HostDownNow(const std::string& host) const;

@@ -378,18 +378,18 @@ void RpcClient::set_retry_policy(const RetryPolicy& policy) {
   jitter_rng_ = Rng(policy.jitter_seed);
 }
 
-void RpcClient::Charge(net::Cost* cost, double ms) {
+void RpcClient::Charge(net::Cost* cost, double ms, double limit_ms) {
   if (ms <= 0) return;
   if (cost) cost->AddMs(ms);
-  transport_->network()->AdvanceClockMs(ms);
+  transport_->network()->AdvanceClockMs(ms, limit_ms);
 }
 
 Result<XmlRpcValue> RpcClient::CallOnce(
     const std::string& method, const XmlRpcArray& params, net::Cost* cost,
     int forward_depth, const std::string& forward_path,
     const obs::SpanContext& trace_ctx, double attempt_budget_ms,
-    double wire_deadline_ms, const std::string& tenant, CallStats* call_stats,
-    wire::StreamSink* sink) {
+    double wire_deadline_ms, double limit_ms, const std::string& tenant,
+    CallStats* call_stats, wire::StreamSink* sink) {
   GRIDDB_RETURN_IF_ERROR(Connect(cost));
   GRIDDB_ASSIGN_OR_RETURN(RpcServer * server,
                           transport_->Resolve(server_url_));
@@ -413,7 +413,7 @@ Result<XmlRpcValue> RpcClient::CallOnce(
   // A lost message is only detected by waiting out the attempt budget.
   auto wait_out = [&](const Status& failure) -> Status {
     if (failure.code() == StatusCode::kTimeout && deadline > 0) {
-      Charge(cost, deadline - attempt_ms);
+      Charge(cost, deadline - attempt_ms, limit_ms);
     }
     return failure;
   };
@@ -422,14 +422,14 @@ Result<XmlRpcValue> RpcClient::CallOnce(
     return deadline > 0 && attempt_ms + next_ms > deadline;
   };
   auto abort_deadline = [&](const char* leg) -> Status {
-    Charge(cost, deadline - attempt_ms);
+    Charge(cost, deadline - attempt_ms, limit_ms);
     return Timeout(std::string(leg) + " of call '" + method +
                    "' exceeded the " + std::to_string(deadline) +
                    " ms attempt deadline");
   };
   auto charge_leg = [&](double ms) {
     attempt_ms += ms;
-    Charge(cost, ms);
+    Charge(cost, ms, limit_ms);
   };
 
   // Request leg (fault injection applies per message direction).
@@ -636,10 +636,16 @@ Result<XmlRpcValue> RpcClient::Call(const std::string& method,
     // partial state from the failed attempt.
     if (sink != nullptr && attempt > 1) sink->OnRestart();
     if (call_stats && attempt > 1) call_stats->streamed_chunks = 0;
+    // The query's deadline as an instant on the shared clock: the
+    // attempt's charges never move the clock past it, whatever sibling
+    // branches of the same query charged while it was in flight.
+    const double limit_ms = has_token
+                                ? cancel->deadline_ms()
+                                : std::numeric_limits<double>::infinity();
     Result<XmlRpcValue> result = CallOnce(method, params, &local_cost,
                                           forward_depth, forward_path,
                                           trace_ctx, attempt_budget,
-                                          wire_deadline, wire_tenant,
+                                          wire_deadline, limit_ms, wire_tenant,
                                           call_stats, sink);
     if (result.ok() || !IsRetryable(result.status().code()) ||
         attempt >= max_attempts) {

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <shared_mutex>
@@ -315,14 +316,15 @@ class RpcClient {
 
  private:
   /// `attempt_budget_ms` <= 0 means "no deadline this attempt";
-  /// `wire_deadline_ms` > 0 rides the request as <deadlineMs>.
+  /// `wire_deadline_ms` > 0 rides the request as <deadlineMs>;
+  /// `limit_ms` is the shared-clock instant no charge moves it past.
   Result<XmlRpcValue> CallOnce(const std::string& method,
                                const XmlRpcArray& params, net::Cost* cost,
                                int forward_depth,
                                const std::string& forward_path,
                                const obs::SpanContext& trace_ctx,
                                double attempt_budget_ms,
-                               double wire_deadline_ms,
+                               double wire_deadline_ms, double limit_ms,
                                const std::string& tenant,
                                CallStats* call_stats, wire::StreamSink* sink);
   /// Client side of a framed binary response: per-frame simulated
@@ -335,8 +337,11 @@ class RpcClient {
       const std::function<Status(const char*)>& abort_deadline,
       const std::function<void(double)>& charge_leg,
       const std::function<Status(const Status&)>& wait_out);
-  /// Charges `ms` to `cost` (when non-null) and advances the virtual clock.
-  void Charge(net::Cost* cost, double ms);
+  /// Charges `ms` to `cost` (when non-null) and advances the virtual clock
+  /// by it, never past `limit_ms` (the query deadline's instant; see
+  /// net::Network::AdvanceClockMs).
+  void Charge(net::Cost* cost, double ms,
+              double limit_ms = std::numeric_limits<double>::infinity());
 
   Transport* transport_;
   std::string client_host_;

@@ -93,6 +93,19 @@ std::vector<TableBinding> DataDictionary::Locate(
   return it->second;
 }
 
+uint64_t DataDictionary::LocateAll(
+    const std::vector<std::string>& logical_tables,
+    std::vector<std::vector<TableBinding>>* locations) const {
+  std::shared_lock lock(mu_);
+  locations->clear();
+  for (const std::string& table : logical_tables) {
+    auto it = tables_.find(ToLower(table));
+    locations->push_back(it == tables_.end() ? std::vector<TableBinding>()
+                                             : it->second);
+  }
+  return epoch();
+}
+
 bool DataDictionary::HasTable(std::string_view logical_table) const {
   std::shared_lock lock(mu_);
   return tables_.count(ToLower(logical_table)) > 0;

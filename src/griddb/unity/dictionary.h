@@ -54,6 +54,11 @@ class DataDictionary {
 
   /// All locations of a logical table (replicas across marts).
   std::vector<TableBinding> Locate(std::string_view logical_table) const;
+  /// The locations of each of `logical_tables`, read under one lock, and
+  /// the epoch of that snapshot: a plan built from them is current exactly
+  /// while the epoch is unchanged.
+  uint64_t LocateAll(const std::vector<std::string>& logical_tables,
+                     std::vector<std::vector<TableBinding>>* locations) const;
   bool HasTable(std::string_view logical_table) const;
 
   /// Sorted logical table names across the whole federation.

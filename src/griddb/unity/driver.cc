@@ -1,7 +1,5 @@
 #include "griddb/unity/driver.h"
 
-#include <future>
-
 #include "griddb/obs/metrics.h"
 #include "griddb/sql/parser.h"
 #include "griddb/sql/render.h"
@@ -35,8 +33,7 @@ UnityDriver::UnityDriver(const ral::DatabaseCatalog* catalog,
     : catalog_(catalog),
       network_(network),
       costs_(costs),
-      options_(std::move(options)),
-      pool_(options_.max_threads) {}
+      options_(std::move(options)) {}
 
 Status UnityDriver::AddDatabase(const UpperXSpecEntry& upper,
                                 const LowerXSpec& lower) {
@@ -133,64 +130,6 @@ Result<ResultSet> UnityDriver::ExecuteDirectRendered(
   GRIDDB_ASSIGN_OR_RETURN(ral::JdbcConnection * conn,
                           ConnectionFor(plan.connection, cost));
   return conn->ExecuteQuery(rendered_sql, cost);
-}
-
-Result<ResultSet> UnityDriver::Query(const std::string& sql_text,
-                                     net::Cost* cost,
-                                     const CancelToken* cancel) {
-  if (cost) cost->AddMs(costs_.query_parse_ms);
-  if (cancel) GRIDDB_RETURN_IF_ERROR(cancel->Check());
-  GRIDDB_ASSIGN_OR_RETURN(QueryPlan plan, Plan(sql_text));
-
-  if (plan.single_database) return ExecuteDirect(plan, cost);
-
-  // Multi-database: execute sub-queries, then merge.
-  std::vector<std::pair<std::string, ResultSet>> partials(
-      plan.subqueries.size());
-  std::vector<net::Cost> branch_costs(plan.subqueries.size());
-
-  if (options_.enhanced && options_.parallel_subqueries &&
-      plan.subqueries.size() > 1) {
-    std::vector<std::future<Status>> futures;
-    futures.reserve(plan.subqueries.size());
-    for (size_t i = 0; i < plan.subqueries.size(); ++i) {
-      futures.push_back(pool_.Submit([this, &plan, &partials, &branch_costs,
-                                      cancel, i]() -> Status {
-        // Every branch shares the query's token: the first sibling to
-        // observe expiry cancels the rest before they start work.
-        if (cancel) GRIDDB_RETURN_IF_ERROR(cancel->Check());
-        auto rs = ExecuteSubQuery(plan.subqueries[i], &branch_costs[i]);
-        if (!rs.ok()) return rs.status();
-        partials[i] = {plan.subqueries[i].effective_name, std::move(*rs)};
-        return Status::Ok();
-      }));
-    }
-    Status first_error = Status::Ok();
-    for (auto& f : futures) {
-      Status s = f.get();
-      if (!s.ok() && first_error.ok()) first_error = s;
-    }
-    GRIDDB_RETURN_IF_ERROR(first_error);
-    if (cost) cost->AddParallel(branch_costs);
-  } else {
-    for (size_t i = 0; i < plan.subqueries.size(); ++i) {
-      if (cancel) GRIDDB_RETURN_IF_ERROR(cancel->Check());
-      GRIDDB_ASSIGN_OR_RETURN(ResultSet rs,
-                              ExecuteSubQuery(plan.subqueries[i],
-                                              &branch_costs[i]));
-      partials[i] = {plan.subqueries[i].effective_name, std::move(rs)};
-      if (cost) cost->AddSequential(branch_costs[i]);
-    }
-  }
-
-  GRIDDB_ASSIGN_OR_RETURN(ResultSet merged,
-                          MergePartials(*plan.merge_stmt, std::move(partials),
-                                        cancel));
-  if (cost) {
-    cost->AddMs(costs_.integrate_per_row_ms *
-                static_cast<double>(merged.num_rows()));
-  }
-  return merged;
 }
 
 }  // namespace griddb::unity

@@ -1,13 +1,18 @@
 // The Unity federated driver (paper §3, §4.6).
 //
 // Baseline behaviour (the Unity JDBC driver the paper builds on): resolve
-// logical names through XSpec metadata, ship a whole query to the single
-// database that holds its tables, return a 2-D result. No cross-database
-// joins, sub-queries executed serially.
+// logical names through XSpec metadata and ship a whole query to the
+// single database that holds its tables. No cross-database joins.
 //
 // Enhanced behaviour (the paper's contribution at the driver level):
-// cross-database joins via decomposition + middleware merge, sub-queries
-// executed in parallel, projection/predicate pushdown.
+// cross-database plans — per-database sub-queries with projection and
+// predicate pushdown plus a middleware merge statement.
+//
+// The driver plans and executes single statements over JDBC; it does not
+// fan out. The data access service (core/data_access_service) owns the
+// one federated execution path: it routes each planned sub-query to
+// POOL-RAL or this driver, forwards remote ones through the RLS, runs
+// them on its worker pool and merges the partials.
 #pragma once
 
 #include <map>
@@ -20,17 +25,14 @@
 #include "griddb/ral/jdbc.h"
 #include "griddb/unity/planner.h"
 #include "griddb/unity/xspec.h"
-#include "griddb/util/thread_pool.h"
 
 namespace griddb::unity {
 
 struct UnityDriverOptions {
-  bool enhanced = true;             ///< Master switch for the paper's driver
-                                    ///< enhancements (joins + parallelism).
-  bool parallel_subqueries = true;  ///< Only meaningful when enhanced.
+  bool enhanced = true;  ///< Master switch for the paper's driver
+                         ///< enhancements (cross-database plans).
   bool projection_pushdown = true;
   bool predicate_pushdown = true;
-  size_t max_threads = 8;
   std::string client_host = "localhost";  ///< Host the driver runs on.
   std::string user;                       ///< Credentials presented to DBs.
   std::string password;
@@ -61,14 +63,6 @@ class UnityDriver {
   void SetReplicaFilter(std::function<bool(const TableBinding&)> filter) {
     replica_filter_ = std::move(filter);
   }
-
-  /// Full federated query: plan, execute sub-queries (JDBC), merge.
-  /// `cancel`, when given, is checked before each sub-query (branches the
-  /// fan-out has not started yet are skipped once a sibling cancels) and
-  /// at row-batch granularity inside the middleware merge join.
-  Result<storage::ResultSet> Query(const std::string& sql_text,
-                                   net::Cost* cost = nullptr,
-                                   const CancelToken* cancel = nullptr);
 
   /// Executes one planned sub-query over JDBC. Public so the data access
   /// layer can route sub-queries itself (POOL-RAL vs JDBC).
@@ -102,7 +96,6 @@ class UnityDriver {
   UnityDriverOptions options_;
   std::function<bool(const TableBinding&)> replica_filter_;
   DataDictionary dictionary_;
-  ThreadPool pool_;
   std::mutex conn_mu_;
   std::map<std::string, std::unique_ptr<ral::JdbcConnection>> connections_;
 };

@@ -36,8 +36,10 @@ std::string SubQuery::WhereString(const sql::Dialect& dialect) const {
 
 std::string SubQuery::RenderSql(const sql::Dialect& dialect) const {
   std::string out =
-      "SELECT " + Join(FieldStrings(dialect), ", ") + " FROM " +
-      dialect.QuoteIdentifier(table.physical);
+      location == Location::kRemote
+          ? "SELECT * FROM " + table.logical
+          : "SELECT " + Join(FieldStrings(dialect), ", ") + " FROM " +
+                dialect.QuoteIdentifier(table.physical);
   std::string where_text = WhereString(dialect);
   if (!where_text.empty()) out += " WHERE " + where_text;
   return out;
@@ -75,23 +77,29 @@ void MutateStmtExprs(SelectStmt& stmt, const std::function<void(Expr&)>& fn) {
   for (sql::OrderItem& o : stmt.order_by) MutateExprs(*o.expr, fn);
 }
 
-/// A bound table reference: the AST node plus its dictionary binding.
+/// A bound table reference: the AST node plus its dictionary binding
+/// (schema-unknown, logical name only, when the table is remote).
 struct BoundTable {
   const TableRef* ref;
   TableBinding binding;
   std::string effective;  // alias or logical table name
+  bool remote = false;
 };
 
 /// Owner resolution of a column reference among the bound tables.
 /// ORDER BY may also name select-list aliases; `output_aliases` suppresses
-/// the unknown-column error for those.
+/// the unknown-column error for those. A remote table owns exactly the
+/// references qualified with its name (its schema is unknown here), and an
+/// unqualified reference no local table holds is left for the merge
+/// (-1) when some table is remote.
 Result<int> ResolveOwner(const sql::ColumnRef& ref,
                          const std::vector<BoundTable>& tables,
                          const std::set<std::string>& output_aliases) {
   if (!ref.table.empty()) {
     for (size_t i = 0; i < tables.size(); ++i) {
       if (EqualsIgnoreCase(tables[i].effective, ref.table)) {
-        if (!tables[i].binding.HasLogicalColumn(ref.column)) {
+        if (!tables[i].remote &&
+            !tables[i].binding.HasLogicalColumn(ref.column)) {
           return NotFound("table '" + ref.table + "' has no column '" +
                           ref.column + "' in the data dictionary");
         }
@@ -101,7 +109,9 @@ Result<int> ResolveOwner(const sql::ColumnRef& ref,
     return NotFound("unknown table qualifier '" + ref.table + "'");
   }
   int found = -1;
+  bool any_remote = false;
   for (size_t i = 0; i < tables.size(); ++i) {
+    any_remote = any_remote || tables[i].remote;
     if (tables[i].binding.HasLogicalColumn(ref.column)) {
       if (found >= 0) {
         return InvalidArgument("ambiguous column '" + ref.column +
@@ -111,7 +121,7 @@ Result<int> ResolveOwner(const sql::ColumnRef& ref,
     }
   }
   if (found < 0) {
-    if (output_aliases.count(ToLower(ref.column))) return -1;  // alias ref
+    if (output_aliases.count(ToLower(ref.column)) || any_remote) return -1;
     return NotFound("unknown column '" + ref.column +
                     "' in the data dictionary");
   }
@@ -143,18 +153,25 @@ Result<QueryPlan> PlanSelect(const SelectStmt& stmt,
                              const DataDictionary& dictionary,
                              const PlannerOptions& options) {
   QueryPlan plan;
-  // Captured before any dictionary read so a schema change racing with
-  // planning is detected at execution time, never silently absorbed.
-  plan.epoch = dictionary.epoch();
+  const std::vector<const TableRef*> refs = stmt.AllTables();
+  for (const TableRef* ref : refs) {
+    plan.logical_tables.push_back(ToLower(ref->table));
+  }
+  // One consistent snapshot: a schema change after it is detected at
+  // execution time through the epoch, never silently absorbed.
+  std::vector<std::vector<TableBinding>> replica_sets;
+  plan.epoch = dictionary.LocateAll(plan.logical_tables, &replica_sets);
 
   // ---- bind table references ----
   std::vector<BoundTable> tables;
-  std::vector<std::vector<TableBinding>> replica_sets;
-  for (const TableRef* ref : stmt.AllTables()) {
-    std::vector<TableBinding> replicas = dictionary.Locate(ref->table);
+  for (size_t r = 0; r < refs.size(); ++r) {
+    const TableRef* ref = refs[r];
+    std::vector<TableBinding>& replicas = replica_sets[r];
     if (replicas.empty()) {
-      return NotFound("table '" + ref->table +
-                      "' is not registered in the data dictionary");
+      TableBinding unknown;
+      unknown.logical = ToLower(ref->table);
+      tables.push_back({ref, std::move(unknown), ref->EffectiveName(), true});
+      continue;
     }
     if (options.replica_filter) {
       replicas.erase(std::remove_if(replicas.begin(), replicas.end(),
@@ -170,8 +187,6 @@ Result<QueryPlan> PlanSelect(const SelectStmt& stmt,
       return NotFound("no usable replica for table '" + ref->table + "'");
     }
     tables.push_back({ref, *chosen, ref->EffectiveName()});
-    replica_sets.push_back(std::move(replicas));
-    plan.logical_tables.push_back(ToLower(ref->table));
   }
 
   // Duplicate effective names break merge registration and the executor.
@@ -218,14 +233,17 @@ Result<QueryPlan> PlanSelect(const SelectStmt& stmt,
   });
   GRIDDB_RETURN_IF_ERROR(first_error);
 
-  // ---- single-database fast path ----
-  bool single_db = true;
-  for (size_t i = 1; i < tables.size(); ++i) {
-    if (tables[i].binding.connection != tables[0].binding.connection) {
-      single_db = false;
-      break;
+  // ---- locations ----
+  std::set<std::string> local_connections;
+  bool any_remote = false;
+  for (const BoundTable& t : tables) {
+    if (t.remote) {
+      any_remote = true;
+    } else {
+      local_connections.insert(t.binding.connection);
     }
   }
+  const bool single_db = !any_remote && local_connections.size() == 1;
 
   auto owner_of = [&](const sql::ColumnRef& ref) -> int {
     auto owner = ResolveOwner(ref, tables, output_aliases);
@@ -296,8 +314,11 @@ Result<QueryPlan> PlanSelect(const SelectStmt& stmt,
     return plan;
   }
 
-  // ---- multi-database plan ----
-  if (!options.allow_cross_database_joins) {
+  // ---- split plan ----
+  if (local_connections.empty()) {
+    // No local table: the whole statement may go to one remote server.
+    plan.direct_stmt = stmt.Clone();
+  } else if (!options.allow_cross_database_joins) {
     return Unsupported(
         "query spans multiple databases; the baseline Unity driver does not "
         "support cross-database joins");
@@ -333,11 +354,13 @@ Result<QueryPlan> PlanSelect(const SelectStmt& stmt,
     }
   });
 
-  // WHERE conjuncts owned entirely by one table get pushed down — except
-  // for tables on the nullable (right) side of a LEFT JOIN: reducing such
-  // a table's rows changes which left rows get NULL-padded, so a
-  // NULL-sensitive predicate (IS NULL, IS NOT NULL over padded columns)
-  // evaluated at merge would see different rows than the reference.
+  // WHERE conjuncts owned entirely by one table get pushed down (for a
+  // remote table that means every reference is qualified with its name,
+  // see ResolveOwner) — except for tables on the nullable (right) side of
+  // a LEFT JOIN: reducing such a table's rows changes which left rows get
+  // NULL-padded, so a NULL-sensitive predicate (IS NULL, IS NOT NULL over
+  // padded columns) evaluated at merge would see different rows than the
+  // reference.
   std::vector<bool> left_join_nullable(tables.size(), false);
   {
     size_t index = stmt.from.size();
@@ -374,6 +397,22 @@ Result<QueryPlan> PlanSelect(const SelectStmt& stmt,
     SubQuery sub;
     sub.table = t.binding;
     sub.effective_name = t.effective;
+    if (t.remote) {
+      // Fetched whole (`SELECT *`), filtered by the pushed conjuncts with
+      // their qualifiers stripped: the fetch addresses a single table.
+      sub.location = Location::kRemote;
+      std::vector<ExprPtr> conjuncts;
+      for (const Expr* conjunct : pushed[i]) {
+        ExprPtr copy = conjunct->Clone();
+        MutateExprs(*copy, [](Expr& e) {
+          if (e.kind == Expr::Kind::kColumn) e.column_ref.table.clear();
+        });
+        conjuncts.push_back(std::move(copy));
+      }
+      sub.where = sql::ConjunctionOf(std::move(conjuncts));
+      plan.subqueries.push_back(std::move(sub));
+      continue;
+    }
 
     bool all = wants_all[i] || !options.projection_pushdown;
     if (all) {
@@ -428,29 +467,41 @@ Result<QueryPlan> PlanSelect(const SelectStmt& stmt,
 }
 
 std::string DescribePlan(const QueryPlan& plan) {
+  const sql::Dialect& client = sql::Dialect::For(sql::Vendor::kSqlite);
+  auto dialect_of = [&](const std::string& connection) -> const sql::Dialect& {
+    auto conn = ral::ConnectionString::Parse(connection);
+    return conn.ok() ? sql::Dialect::For(conn->vendor) : client;
+  };
   std::string out;
   if (plan.single_database) {
     out += "single-database plan -> " + plan.connection + "\n";
-    auto conn = ral::ConnectionString::Parse(plan.connection);
-    const sql::Dialect& dialect =
-        sql::Dialect::For(conn.ok() ? conn->vendor : sql::Vendor::kSqlite);
-    out += "  " + sql::RenderSelect(*plan.direct_stmt, dialect) + "\n";
+    out += "  " +
+           sql::RenderSelect(*plan.direct_stmt, dialect_of(plan.connection)) +
+           "\n";
     return out;
+  }
+  if (plan.direct_stmt) {
+    out += "forwarded plan -> the server the RLS names for " +
+           Join(plan.logical_tables, ", ") + "\n  " +
+           sql::RenderSelect(*plan.direct_stmt, client) + "\n";
+    if (plan.subqueries.size() == 1) return out;
+    out += "  (split as below when the RLS names more than one server)\n";
   }
   out += "federated plan, " + std::to_string(plan.subqueries.size()) +
          " sub-queries:\n";
   for (const SubQuery& sub : plan.subqueries) {
-    auto conn = ral::ConnectionString::Parse(sub.table.connection);
-    const sql::Dialect& dialect =
-        sql::Dialect::For(conn.ok() ? conn->vendor : sql::Vendor::kSqlite);
+    if (sub.location == Location::kRemote) {
+      out += "  [" + sub.effective_name + " @ RLS]\n";
+      out += "    " + sub.RenderSql(client) + "\n";
+      continue;
+    }
+    const sql::Dialect& dialect = dialect_of(sub.table.connection);
     out += "  [" + sub.effective_name + " @ " + sub.table.connection + ", " +
            dialect.name() + "]\n";
     out += "    " + sub.RenderSql(dialect) + "\n";
   }
   out += "  [merge @ middleware]\n    " +
-         sql::RenderSelect(*plan.merge_stmt,
-                           sql::Dialect::For(sql::Vendor::kSqlite)) +
-         "\n";
+         sql::RenderSelect(*plan.merge_stmt, client) + "\n";
   return out;
 }
 

@@ -7,13 +7,18 @@
 // enhanced Unity driver then "appl[ies] joins on rows extracted from
 // multiple databases" and merges everything "into a single 2-D vector".
 //
-// Plan shape:
-//  - single-database queries are rewritten wholesale to physical names
-//    and shipped as one statement (fast path);
-//  - multi-database queries produce one SubQuery per table reference
-//    (projection and single-table predicates pushed down, re-rendered in
-//    the target vendor's dialect) plus a merge statement executed by the
-//    middleware over the partial results.
+// Plan shape: every table reference is bound to a *location*.
+//  - A table in the data dictionary is bound to one replica's local
+//    connection. A table the dictionary does not hold is bound as
+//    schema-unknown and located through the RLS at execution time.
+//  - When one location can run the whole statement it is shipped in one
+//    piece: rewritten to physical names for a single local database, or
+//    forwarded as written when no table is local (the service checks
+//    that the RLS names one server for all of them).
+//  - Otherwise the plan holds one SubQuery per table reference
+//    (projection and single-table predicates pushed down, rendered in
+//    the target's dialect) plus a merge statement the middleware runs
+//    over the partial results.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +42,7 @@ using ReplicaSelector = std::function<const TableBinding*(
 
 struct PlannerOptions {
   /// Enhanced-driver behaviour. When false (baseline Unity), planning a
-  /// query whose tables span databases fails with kUnsupported.
+  /// query whose tables span locations fails with kUnsupported.
   bool allow_cross_database_joins = true;
   /// Fetch only the columns the query references (vs whole tables — the
   /// baseline behaviour whose memory overload the paper §3 calls out).
@@ -57,17 +62,30 @@ struct PlannerOptions {
   std::function<bool(const TableBinding&)> replica_filter;
 };
 
-/// One per-database sub-query: fetch `fields` of `table`, filtered by
-/// `where` (all names physical), registered at merge under
-/// `effective_name`.
+/// Where a statement or sub-query runs.
+enum class Location {
+  kLocal,   ///< A locally registered database connection.
+  kRemote,  ///< The JClarens servers the RLS names for the table. The
+            ///< candidates are looked up on every execution, never stored
+            ///< in the plan, so failover invalidation stays current.
+};
+
+/// One per-location fetch of one table reference, registered at merge
+/// under `effective_name`.
+///  - kLocal: fetch `fields` of `table` filtered by `where`, all names
+///    physical, on `table.connection`.
+///  - kRemote: the schema is unknown here, so `table` carries only the
+///    logical name, `fields` is empty and the fetch is
+///    `SELECT * FROM <logical> [WHERE ...]` with logical names.
 struct SubQuery {
+  Location location = Location::kLocal;
   TableBinding table;
   std::string effective_name;
   /// (physical column, logical output alias) pairs.
   std::vector<std::pair<std::string, std::string>> fields;
-  sql::ExprPtr where;  ///< Physical, unqualified; may be null.
+  sql::ExprPtr where;  ///< Unqualified; may be null.
 
-  /// Full SELECT text in the target dialect.
+  /// Full SELECT text in the target dialect (the client's for kRemote).
   std::string RenderSql(const sql::Dialect& dialect) const;
   /// The POOL-RAL wrapper form: select-field strings ("P AS l"),
   /// table list and where-clause text.
@@ -76,15 +94,18 @@ struct SubQuery {
 };
 
 struct QueryPlan {
-  /// True when every referenced table lives in one database.
+  /// True when every referenced table lives in one local database.
   bool single_database = false;
 
-  // Single-database fast path: the whole statement, physical names,
-  // executable directly on `connection`.
+  // The whole statement, when one location can run it without a merge.
+  // Single local database: physical names, executed on `connection`. No
+  // local table: the logical statement, forwarded whole when the RLS
+  // names one first-choice server for every table. Null otherwise.
   std::string connection;
   std::unique_ptr<sql::SelectStmt> direct_stmt;
 
-  // Multi-database path.
+  // Split execution: one sub-query per table reference, then the merge.
+  // Empty for single-database plans.
   std::vector<SubQuery> subqueries;
   std::unique_ptr<sql::SelectStmt> merge_stmt;
 
@@ -96,8 +117,9 @@ struct QueryPlan {
   uint64_t epoch = 0;
 };
 
-/// Plans a logical SELECT against the dictionary. Returns kNotFound when a
-/// referenced table is not in the dictionary (callers fall back to RLS).
+/// Plans a logical SELECT against the dictionary. Tables the dictionary
+/// does not hold become kRemote sub-queries; column references the
+/// planner cannot attribute to a local table are left for the merge.
 Result<QueryPlan> PlanSelect(const sql::SelectStmt& stmt,
                              const DataDictionary& dictionary,
                              const PlannerOptions& options);
@@ -110,8 +132,8 @@ Result<storage::ResultSet> MergePartials(
     std::vector<std::pair<std::string, storage::ResultSet>> partials,
     const CancelToken* cancel = nullptr);
 
-/// Human-readable plan description (EXPLAIN-style): the single-database
-/// statement with its target, or every sub-query in its target dialect
+/// Human-readable plan description (EXPLAIN-style): the whole statement
+/// with its location, or every sub-query with its location and dialect
 /// plus the middleware merge statement.
 std::string DescribePlan(const QueryPlan& plan);
 

@@ -187,6 +187,12 @@ TEST_F(GridFixture, MixedLocalRemoteJoin) {
   EXPECT_TRUE(stats.used_rls);
   EXPECT_TRUE(stats.distributed);
   EXPECT_EQ(stats.servers_contacted, 2u);
+  // Every mart touched counts, local and remote, and so does every
+  // sub-query: events is a local MySQL table, so it goes through POOL-RAL;
+  // conditions is fetched from server B's MS-SQL mart over JDBC.
+  EXPECT_EQ(stats.databases, 2u);
+  EXPECT_EQ(stats.pool_ral_subqueries, 1u);
+  EXPECT_EQ(stats.jdbc_subqueries, 1u);
 }
 
 TEST_F(GridFixture, FourTablesAcrossTwoServers) {
@@ -203,6 +209,54 @@ TEST_F(GridFixture, FourTablesAcrossTwoServers) {
   EXPECT_EQ(stats.tables, 4u);
   EXPECT_EQ(stats.servers_contacted, 2u);
   EXPECT_TRUE(stats.distributed);
+  // Four marts, four sub-queries: the MySQL tables (events here, calib on
+  // B) through POOL-RAL, the MS-SQL ones (runs here, conditions on B)
+  // over JDBC.
+  EXPECT_EQ(stats.databases, 4u);
+  EXPECT_EQ(stats.pool_ral_subqueries, 2u);
+  EXPECT_EQ(stats.jdbc_subqueries, 2u);
+}
+
+TEST_F(GridFixture, MixedPlanIsEpochCheckedAndReplanned) {
+  const char* query =
+      "SELECT e.event_id, r.detector, c.temperature FROM events e "
+      "JOIN runs r ON e.run_id = r.run_id "
+      "JOIN conditions c ON e.run_id = c.run_id ORDER BY e.event_id";
+  // The single-server answer: one service holding all three marts.
+  DataAccessConfig single_config;
+  single_config.host = "client";
+  DataAccessService single(single_config, &catalog, &transport);
+  for (const char* url : {"mysql://server-a/my1", "mssql://server-a/ms1",
+                          "mssql://server-b/ms2"}) {
+    ASSERT_TRUE(single.RegisterLiveDatabase(url, "").ok());
+  }
+  auto expected = single.Query(query);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  // A schema reload of a local mart lands between planning and execution
+  // of the mixed plan: the plan is stale and must be rebuilt.
+  int reloads = 0;
+  server_a->service().set_post_plan_hook([&] {
+    if (reloads++ == 0) {
+      EXPECT_TRUE(
+          server_a->service().RefreshRegisteredDatabase("my1").ok());
+    }
+  });
+  QueryStats stats;
+  auto rs = server_a->service().Query(query, &stats);
+  server_a->service().set_post_plan_hook(nullptr);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_EQ(reloads, 2);
+  EXPECT_EQ(stats.replans, 1u);
+  EXPECT_TRUE(stats.used_rls);
+  ASSERT_EQ(rs->columns, expected->columns);
+  ASSERT_EQ(rs->num_rows(), expected->num_rows());
+  for (size_t r = 0; r < rs->num_rows(); ++r) {
+    for (size_t c = 0; c < rs->num_columns(); ++c) {
+      EXPECT_EQ(rs->rows[r][c].Compare(expected->rows[r][c]), 0)
+          << "row " << r << " col " << c;
+    }
+  }
 }
 
 TEST_F(GridFixture, UnknownTableEverywhereFails) {

@@ -2,14 +2,16 @@
 //
 // The same dataset is loaded twice — once into a single reference engine,
 // once split table-by-table across several vendor-heterogeneous marts —
-// and a corpus of logical queries runs against both. The merged federated
-// result must equal the reference result cell for cell, for every mart
-// count, vendor assignment and driver mode (parallel/serial, pushdown
-// on/off). This is the paper's core correctness claim: "the (potentially)
-// large number of databases at the backend [is] transparent to the user".
+// and a corpus of logical queries runs against both through the data
+// access service's production path. The merged federated result must
+// equal the reference result cell for cell, for every mart count, vendor
+// assignment, local/remote split and driver mode (parallel/serial,
+// pushdown on/off). This is the paper's core correctness claim: "the
+// (potentially) large number of databases at the backend [is]
+// transparent to the user".
 #include <gtest/gtest.h>
 
-#include "griddb/unity/driver.h"
+#include "griddb/core/jclarens_server.h"
 #include "griddb/unity/xspec.h"
 #include "griddb/util/rng.h"
 
@@ -184,67 +186,91 @@ TEST_P(FederationTransparency, FederatedEqualsReference) {
   LoadInto(reference, data.runs, data.run_rows);
   LoadInto(reference, data.quality, data.quality_rows);
 
-  // Federation: tables assigned to marts per layout.
-  // layout 0: all three in one MySQL mart (single-database fast path).
-  // layout 1: events|runs+quality across MySQL/MS-SQL.
-  // layout 2: one table per mart across MySQL/MS-SQL/Oracle.
+  // Federation: tables assigned to marts per layout. A mart registers
+  // with the coordinator (local) or with a second JClarens server that
+  // the coordinator reaches through the RLS (remote).
+  // layout 0: all three in one local MySQL mart (single-database path).
+  // layout 1: events|runs+quality across local MySQL/MS-SQL.
+  // layout 2: one table per local mart across MySQL/MS-SQL/Oracle.
+  // layout 3: events local (MySQL); runs (MS-SQL) and quality (Oracle)
+  //           remote: a mixed plan, two fetches on one remote server.
+  // layout 4: every table remote (MySQL + MS-SQL): a whole-query forward.
   net::Network network;
-  for (const char* h : {"h1", "h2", "h3", "local"}) network.AddHost(h);
+  for (const char* h : {"h1", "h2", "h3", "local", "remote", "rls-host"}) {
+    network.AddHost(h);
+  }
+  rpc::Transport transport(&network, net::ServiceCosts::Default());
+  rls::RlsServer rls("rls://rls-host:39281/rls", &transport);
   ral::DatabaseCatalog catalog;
-  std::vector<std::unique_ptr<engine::Database>> marts;
+  struct Mart {
+    std::unique_ptr<engine::Database> db;
+    std::string connection;
+    bool remote;
+  };
+  std::vector<Mart> marts;
 
-  auto new_mart = [&](const char* name, sql::Vendor vendor,
-                      const char* host) -> engine::Database& {
-    marts.push_back(std::make_unique<engine::Database>(name, vendor));
+  auto new_mart = [&](const char* name, sql::Vendor vendor, const char* host,
+                      bool remote) -> engine::Database& {
     std::string conn = std::string(sql::VendorName(vendor)) + "://" + host +
                        "/" + name;
-    EXPECT_TRUE(catalog.Add({conn, marts.back().get(), host, "", ""}).ok());
-    return *marts.back();
+    marts.push_back(
+        {std::make_unique<engine::Database>(name, vendor), conn, remote});
+    EXPECT_TRUE(catalog.Add({conn, marts.back().db.get(), host, "", ""}).ok());
+    return *marts.back().db;
   };
 
   if (param.layout == 0) {
-    engine::Database& m = new_mart("m1", sql::Vendor::kMySql, "h1");
+    engine::Database& m = new_mart("m1", sql::Vendor::kMySql, "h1", false);
     LoadInto(m, data.events, data.event_rows);
     LoadInto(m, data.runs, data.run_rows);
     LoadInto(m, data.quality, data.quality_rows);
-  } else if (param.layout == 1) {
-    engine::Database& m1 = new_mart("m1", sql::Vendor::kMySql, "h1");
-    engine::Database& m2 = new_mart("m2", sql::Vendor::kMsSql, "h2");
+  } else if (param.layout == 1 || param.layout == 4) {
+    const bool remote = param.layout == 4;
+    engine::Database& m1 = new_mart("m1", sql::Vendor::kMySql, "h1", remote);
+    engine::Database& m2 = new_mart("m2", sql::Vendor::kMsSql, "h2", remote);
     LoadInto(m1, data.events, data.event_rows);
     LoadInto(m2, data.runs, data.run_rows);
     LoadInto(m2, data.quality, data.quality_rows);
   } else {
-    engine::Database& m1 = new_mart("m1", sql::Vendor::kMySql, "h1");
-    engine::Database& m2 = new_mart("m2", sql::Vendor::kMsSql, "h2");
-    engine::Database& m3 = new_mart("m3", sql::Vendor::kOracle, "h3");
+    const bool remote = param.layout == 3;
+    engine::Database& m1 = new_mart("m1", sql::Vendor::kMySql, "h1", false);
+    engine::Database& m2 = new_mart("m2", sql::Vendor::kMsSql, "h2", remote);
+    engine::Database& m3 = new_mart("m3", sql::Vendor::kOracle, "h3", remote);
     LoadInto(m1, data.events, data.event_rows);
     LoadInto(m2, data.runs, data.run_rows);
     LoadInto(m3, data.quality, data.quality_rows);
   }
 
-  UnityDriverOptions options;
-  options.enhanced = true;
-  options.parallel_subqueries = param.parallel;
-  options.projection_pushdown = param.projection_pushdown;
-  options.predicate_pushdown = param.predicate_pushdown;
-  options.client_host = "local";
-  UnityDriver driver(&catalog, &network, net::ServiceCosts::Default(),
-                     options);
-  for (const auto& mart : marts) {
-    std::string conn = std::string(sql::VendorName(mart->vendor())) +
-                       "://h" + std::to_string((&mart - &marts[0]) + 1) + "/" +
-                       mart->name();
-    ASSERT_TRUE(driver
-                    .AddDatabase({mart->name(), conn, "jdbc", ""},
-                                 GenerateXSpec(*mart))
-                    .ok());
+  core::DataAccessConfig config;
+  config.server_name = "coordinator";
+  config.host = "local";
+  config.server_url = "clarens://local:8080/clarens";
+  config.rls_url = "rls://rls-host:39281/rls";
+  config.enhanced_driver = true;
+  config.parallel_subqueries = param.parallel;
+  config.projection_pushdown = param.projection_pushdown;
+  config.predicate_pushdown = param.predicate_pushdown;
+  core::DataAccessService coordinator(config, &catalog, &transport);
+
+  core::DataAccessConfig remote_config = config;
+  remote_config.server_name = "remote";
+  remote_config.host = "remote";
+  remote_config.server_url = "clarens://remote:8080/clarens";
+  core::JClarensServer remote(remote_config, &catalog, &transport);
+
+  for (const Mart& mart : marts) {
+    UpperXSpecEntry upper{mart.db->name(), mart.connection, "jdbc", ""};
+    core::DataAccessService& owner =
+        mart.remote ? remote.service() : coordinator;
+    ASSERT_TRUE(owner.RegisterDatabase(upper, GenerateXSpec(*mart.db)).ok());
   }
 
   for (const char* query : kQueryCorpus) {
     auto expected = reference.Execute(query);
     ASSERT_TRUE(expected.ok()) << query << "\n"
                                << expected.status().ToString();
-    auto actual = driver.Query(query, nullptr);
+    core::QueryStats stats;
+    auto actual = coordinator.Query(query, &stats);
     ASSERT_TRUE(actual.ok()) << query << "\n" << actual.status().ToString();
 
     ResultSet e = std::move(*expected);
@@ -255,6 +281,12 @@ TEST_P(FederationTransparency, FederatedEqualsReference) {
       Canonicalize(a);
     }
     ExpectSameResults(e, a, query);
+    const std::string text = query;
+    const bool touches_remote =
+        param.layout == 4 ||
+        (param.layout == 3 && (text.find("runs") != std::string::npos ||
+                               text.find("quality") != std::string::npos));
+    EXPECT_EQ(stats.used_rls, touches_remote) << query;
   }
 }
 
@@ -268,7 +300,10 @@ INSTANTIATE_TEST_SUITE_P(
         FederationParam{1, true, true, false},
         FederationParam{1, true, false, false},
         FederationParam{2, true, true, true},
-        FederationParam{2, false, false, false}),
+        FederationParam{2, false, false, false},
+        FederationParam{3, true, true, true},
+        FederationParam{3, false, false, false},
+        FederationParam{4, true, true, true}),
     [](const ::testing::TestParamInfo<FederationParam>& info) {
       const FederationParam& p = info.param;
       return "layout" + std::to_string(p.layout) +

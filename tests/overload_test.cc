@@ -634,10 +634,11 @@ struct PlanLatch {
 TEST_F(OverloadFixture, DeadlineExpiryMidForwardCancelsSiblingFetch) {
   // Every message between the coordinator and server-a is delayed past
   // what the budget can absorb: the events_a fetch times out, eating the
-  // whole budget. The sibling events_b fetch then observes the expired
-  // deadline at its pre-flight checkpoint and is cancelled without ever
-  // contacting server-b — partial_results alone would have substituted
-  // the timeout, so the kDeadlineExceeded proves the token cancelled it.
+  // whole budget. The events_b fetch runs concurrently on its own server
+  // task: it either finishes inside the budget or observes the expired
+  // deadline and is cancelled — partial_results alone would have
+  // substituted the timeout, so the kDeadlineExceeded proves the token
+  // stopped the query.
   auto plan = std::make_shared<net::FaultPlan>(11);
   net::LinkFaultSpec slow;
   slow.delay_probability = 1.0;
@@ -657,8 +658,8 @@ TEST_F(OverloadFixture, DeadlineExpiryMidForwardCancelsSiblingFetch) {
   ASSERT_FALSE(rs.ok());
   EXPECT_EQ(rs.status().code(), StatusCode::kDeadlineExceeded);
   const double elapsed = network.NowMs() - t0;
-  // The timed-out attempt is charged exactly to the deadline; the
-  // cancelled sibling spends nothing.
+  // The timed-out attempt is charged exactly to the deadline, and the
+  // sibling's charges never move the shared clock past it.
   EXPECT_GE(elapsed, 400.0);
   EXPECT_LE(elapsed, config.default_deadline_ms + 1.0);
   EXPECT_GE(network.fault_counters().delays, 1u);

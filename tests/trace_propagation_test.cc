@@ -205,8 +205,9 @@ TEST_F(TracePropagationFixture, ForwardedQueryYieldsOneConnectedTrace) {
   ASSERT_NE(forward, nullptr);
   EXPECT_EQ(forward->name, "dataaccess.forward");
   EXPECT_EQ(forward->parent_span_id, root->span_id);
-  // The coordinator opens its own (failing) unity.plan before consulting
-  // the RLS, so look specifically for the remote server's planning span.
+  // The coordinator opens its own unity.plan (binding events_a as a
+  // remote table) before consulting the RLS, so look specifically for the
+  // remote server's planning span.
   const obs::SpanRecord* remote_plan = nullptr;
   for (const obs::SpanRecord& span : spans) {
     if (span.name == "unity.plan" && span.host == "server-a") {
@@ -223,6 +224,48 @@ TEST_F(TracePropagationFixture, ForwardedQueryYieldsOneConnectedTrace) {
   EXPECT_NE(tree.find("dataaccess.query.remote @server-a"),
             std::string::npos)
       << tree;
+}
+
+TEST_F(TracePropagationFixture, MixedQueryHasOneSpanShape) {
+  // events_a and shared_events are local to server A; events_b lives on
+  // server B. The mixed plan fans out like a local one: one
+  // dataaccess.subquery per local sub-query and one per remote server
+  // task, all under the query span, then one dataaccess.merge.
+  DataAccessService& service = server_a->service();
+  service.tracer().Clear();
+  QueryStats stats;
+  auto rs = service.Query(
+      "SELECT a.id, b.v, s.v FROM events_a a JOIN events_b b ON a.id = b.id "
+      "JOIN shared_events s ON a.id = s.id",
+      &stats);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_EQ(rs->num_rows(), 2u);
+
+  std::vector<obs::SpanRecord> spans = service.tracer().Finished();
+  ExpectConnected(spans);
+  const obs::SpanRecord* root = nullptr;
+  for (const obs::SpanRecord& span : spans) {
+    if (span.parent_span_id == 0) root = &span;
+  }
+  ASSERT_NE(root, nullptr);
+  EXPECT_EQ(root->name, "dataaccess.query");
+  size_t subqueries = 0, merges = 0, remote_tasks = 0;
+  for (const obs::SpanRecord& span : spans) {
+    if (span.parent_span_id != root->span_id) continue;
+    if (span.name == "dataaccess.merge") ++merges;
+    if (span.name != "dataaccess.subquery") continue;
+    ++subqueries;
+    // The remote server's task carries the forward of its fetch.
+    for (const obs::SpanRecord& child : spans) {
+      if (child.parent_span_id == span.span_id &&
+          child.name == "dataaccess.forward") {
+        ++remote_tasks;
+      }
+    }
+  }
+  EXPECT_EQ(subqueries, 3u) << service.tracer().FormatTrace(root->trace_id);
+  EXPECT_EQ(remote_tasks, 1u);
+  EXPECT_EQ(merges, 1u);
 }
 
 TEST_F(TracePropagationFixture, FaultyNetworkDoesNotCorruptOrLeakSpans) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "griddb/core/data_access_service.h"
 #include "griddb/unity/dictionary.h"
 #include "griddb/unity/driver.h"
 #include "griddb/unity/planner.h"
@@ -181,11 +182,9 @@ struct FederationFixture : public ::testing::Test {
                     .ok());
   }
 
-  std::unique_ptr<UnityDriver> MakeDriver(bool enhanced,
-                                          bool parallel = true) {
+  std::unique_ptr<UnityDriver> MakeDriver(bool enhanced) {
     UnityDriverOptions options;
     options.enhanced = enhanced;
-    options.parallel_subqueries = parallel;
     options.client_host = "local";
     auto driver = std::make_unique<UnityDriver>(
         &catalog, &network, net::ServiceCosts::Default(), options);
@@ -202,7 +201,30 @@ struct FederationFixture : public ::testing::Test {
     return driver;
   }
 
+  /// The data access service over the same two marts: the execution
+  /// path (routing, fan-out, merge) the driver plans for.
+  std::unique_ptr<core::DataAccessService> MakeService(bool parallel = true) {
+    core::DataAccessConfig config;
+    config.host = "local";
+    config.parallel_subqueries = parallel;
+    auto service =
+        std::make_unique<core::DataAccessService>(config, &catalog, &transport);
+    EXPECT_TRUE(service
+                    ->RegisterDatabase({"mart_my",
+                                        "mysql://caltech-tier2/mart_my",
+                                        "mysql-jdbc", ""},
+                                       GenerateXSpec(mysql_mart))
+                    .ok());
+    EXPECT_TRUE(service
+                    ->RegisterDatabase({"mart_ms", "mssql://cern-tier1/mart_ms",
+                                        "mssql-jdbc", ""},
+                                       GenerateXSpec(mssql_mart))
+                    .ok());
+    return service;
+  }
+
   net::Network network;
+  rpc::Transport transport{&network, net::ServiceCosts::Default()};
   engine::Database mysql_mart;
   engine::Database mssql_mart;
   ral::DatabaseCatalog catalog;
@@ -257,8 +279,6 @@ TEST_F(FederationFixture, MultiDatabasePlanDecomposes) {
 TEST_F(FederationFixture, PlannerErrors) {
   auto driver_ptr = MakeDriver(true);
   UnityDriver& driver = *driver_ptr;
-  EXPECT_EQ(driver.Plan("SELECT x FROM ghost_table").status().code(),
-            StatusCode::kNotFound);
   EXPECT_EQ(driver.Plan("SELECT ghost_col FROM events").status().code(),
             StatusCode::kNotFound);
   // run_id exists in both tables -> ambiguous unqualified.
@@ -285,39 +305,81 @@ TEST_F(FederationFixture, BaselineDriverRefusesCrossDatabaseJoins) {
   EXPECT_TRUE(baseline.Plan("SELECT event_id FROM events").ok());
 }
 
-// ---------- driver execution ----------
-
-TEST_F(FederationFixture, SingleDatabaseQuery) {
+TEST_F(FederationFixture, UnregisteredTableBindsAsRemote) {
   auto driver_ptr = MakeDriver(true);
   UnityDriver& driver = *driver_ptr;
-  net::Cost cost;
-  auto rs = driver.Query(
+  // A table the dictionary does not hold is bound schema-unknown, to be
+  // located through the RLS at execution time.
+  auto ghost = driver.Plan("SELECT x FROM ghost_table WHERE x > 1");
+  ASSERT_TRUE(ghost.ok()) << ghost.status().ToString();
+  EXPECT_FALSE(ghost->single_database);
+  ASSERT_NE(ghost->direct_stmt, nullptr);  // may be forwarded whole
+  ASSERT_EQ(ghost->subqueries.size(), 1u);
+  EXPECT_EQ(ghost->subqueries[0].location, Location::kRemote);
+  // Unqualified conjuncts are never pushed into a remote fetch.
+  EXPECT_EQ(ghost->subqueries[0].RenderSql(
+                sql::Dialect::For(sql::Vendor::kSqlite)),
+            "SELECT * FROM ghost_table");
+
+  // Mixed: the local table keeps its projection; only conjuncts fully
+  // qualified with the remote table's name are pushed to it.
+  auto mixed = driver.Plan(
+      "SELECT e.event_id, g.x FROM events e JOIN ghost_table g "
+      "ON e.run_id = g.run_id WHERE g.x > 1 AND e.energy > 40 AND y = 2");
+  ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
+  EXPECT_EQ(mixed->direct_stmt, nullptr);
+  ASSERT_EQ(mixed->subqueries.size(), 2u);
+  EXPECT_EQ(mixed->subqueries[0].location, Location::kLocal);
+  EXPECT_EQ(mixed->subqueries[0].fields.size(), 3u);
+  EXPECT_EQ(mixed->subqueries[1].RenderSql(
+                sql::Dialect::For(sql::Vendor::kSqlite)),
+            "SELECT * FROM ghost_table WHERE (x > 1)");
+
+  // Nothing is pushed to the nullable side of a LEFT JOIN.
+  auto left = driver.Plan(
+      "SELECT e.event_id FROM events e LEFT JOIN ghost_table g "
+      "ON e.run_id = g.run_id WHERE g.x IS NULL");
+  ASSERT_TRUE(left.ok()) << left.status().ToString();
+  EXPECT_EQ(left->subqueries[1].where, nullptr);
+
+  // The baseline driver cannot merge across locations.
+  auto baseline_ptr = MakeDriver(false);
+  EXPECT_EQ(baseline_ptr
+                ->Plan("SELECT e.event_id FROM events e JOIN ghost_table g "
+                       "ON e.run_id = g.run_id")
+                .status()
+                .code(),
+            StatusCode::kUnsupported);
+}
+
+// ---------- execution through the data access service ----------
+
+TEST_F(FederationFixture, SingleDatabaseQuery) {
+  auto service = MakeService();
+  core::QueryStats stats;
+  auto rs = service->Query(
       "SELECT event_id, energy FROM events WHERE tag = 'muon' "
       "ORDER BY energy DESC",
-      &cost);
+      &stats);
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   ASSERT_EQ(rs->num_rows(), 3u);
   EXPECT_EQ(rs->columns, (std::vector<std::string>{"event_id", "energy"}));
   EXPECT_DOUBLE_EQ(rs->rows[0][1].AsDoubleStrict(), 99.25);
-  EXPECT_GT(cost.total_ms(), 0.0);
+  EXPECT_GT(stats.simulated_ms, 0.0);
 }
 
 TEST_F(FederationFixture, SelectStarKeepsLogicalColumnNames) {
-  auto driver_ptr = MakeDriver(true);
-  UnityDriver& driver = *driver_ptr;
-  auto rs = driver.Query("SELECT * FROM runs", nullptr);
+  auto service = MakeService();
+  auto rs = service->Query("SELECT * FROM runs");
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   EXPECT_EQ(rs->columns, (std::vector<std::string>{"run_id", "detector"}));
 }
 
 TEST_F(FederationFixture, CrossDatabaseJoin) {
-  auto driver_ptr = MakeDriver(true);
-  UnityDriver& driver = *driver_ptr;
-  net::Cost cost;
-  auto rs = driver.Query(
+  auto service = MakeService();
+  auto rs = service->Query(
       "SELECT e.event_id, e.energy, r.detector FROM events e JOIN runs r "
-      "ON e.run_id = r.run_id WHERE e.energy > 10 ORDER BY e.event_id",
-      &cost);
+      "ON e.run_id = r.run_id WHERE e.energy > 10 ORDER BY e.event_id");
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   ASSERT_EQ(rs->num_rows(), 4u);
   EXPECT_EQ(rs->rows[0][2].AsStringStrict(), "ECAL");
@@ -325,13 +387,11 @@ TEST_F(FederationFixture, CrossDatabaseJoin) {
 }
 
 TEST_F(FederationFixture, CrossDatabaseAggregate) {
-  auto driver_ptr = MakeDriver(true);
-  UnityDriver& driver = *driver_ptr;
-  auto rs = driver.Query(
+  auto service = MakeService();
+  auto rs = service->Query(
       "SELECT r.detector, COUNT(*) AS n, AVG(e.energy) AS avg_e "
       "FROM events e JOIN runs r ON e.run_id = r.run_id "
-      "GROUP BY r.detector ORDER BY n DESC, r.detector",
-      nullptr);
+      "GROUP BY r.detector ORDER BY n DESC, r.detector");
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   ASSERT_EQ(rs->num_rows(), 3u);
   EXPECT_EQ(rs->rows[0][0].AsStringStrict(), "ECAL");
@@ -339,16 +399,14 @@ TEST_F(FederationFixture, CrossDatabaseAggregate) {
 }
 
 TEST_F(FederationFixture, ParallelAndSerialAgree) {
-  auto parallel_ptr = MakeDriver(true, true);
-  auto serial_ptr = MakeDriver(true, false);
-  UnityDriver& parallel = *parallel_ptr;
-  UnityDriver& serial = *serial_ptr;
+  auto parallel = MakeService(true);
+  auto serial = MakeService(false);
   const char* query =
       "SELECT e.event_id, r.detector FROM events e JOIN runs r "
       "ON e.run_id = r.run_id ORDER BY e.event_id";
-  net::Cost parallel_cost, serial_cost;
-  auto a = parallel.Query(query, &parallel_cost);
-  auto b = serial.Query(query, &serial_cost);
+  core::QueryStats parallel_stats, serial_stats;
+  auto a = parallel->Query(query, &parallel_stats);
+  auto b = serial->Query(query, &serial_stats);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ASSERT_EQ(a->num_rows(), b->num_rows());
@@ -359,7 +417,7 @@ TEST_F(FederationFixture, ParallelAndSerialAgree) {
   }
   // Parallel fan-out is strictly cheaper on the simulated clock: branches
   // overlap instead of summing.
-  EXPECT_LT(parallel_cost.total_ms(), serial_cost.total_ms());
+  EXPECT_LT(parallel_stats.simulated_ms, serial_stats.simulated_ms);
 }
 
 TEST_F(FederationFixture, ReplicaSelectionPrefersLocalHost) {
@@ -398,11 +456,9 @@ TEST_F(FederationFixture, ReplicaSelectionPrefersLocalHost) {
 }
 
 TEST_F(FederationFixture, CountStarAcrossTwoDatabases) {
-  auto driver_ptr = MakeDriver(true);
-  UnityDriver& driver = *driver_ptr;
-  auto rs = driver.Query(
-      "SELECT COUNT(*) FROM events e JOIN runs r ON e.run_id = r.run_id",
-      nullptr);
+  auto service = MakeService();
+  auto rs = service->Query(
+      "SELECT COUNT(*) FROM events e JOIN runs r ON e.run_id = r.run_id");
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   EXPECT_EQ(rs->rows[0][0].AsInt64Strict(), 5);
 }
