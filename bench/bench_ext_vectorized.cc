@@ -8,19 +8,29 @@
 // row-at-a-time executor it replaced, kept as the parity oracle in
 // bench/row_executor_oracle.h, is the baseline.
 //
+// A second set runs fedbench's three local_scan shapes (range scan,
+// BETWEEN, top-K) over an 8,000 x 9 ntuple stored in an engine::Database,
+// whose column chunks the executor reads in place, against the oracle
+// over the same rows. Each stored shape also reports the time the same
+// query took with the previous table layout (row heap, converted to
+// columns per query), measured once on the reference host below.
+//
 // Acceptance (wired into scripts/check.sh, see EXPERIMENTS.md):
 //   - cold 4-way join >= 3x faster vectorized (default 1024-row batches);
 //   - ntuple-style scan >= 3x faster;
+//   - each stored local_scan shape >= 3x faster than the oracle;
 //   - byte-identical outputs on every shape/batch size (verified here on
 //     top of the dedicated parity suite).
 // Emits BENCH_vectorized.json (path = argv[1]).
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "bench/row_executor_oracle.h"
+#include "griddb/engine/database.h"
 #include "griddb/engine/select_executor.h"
 #include "griddb/sql/parser.h"
 #include "griddb/util/rng.h"
@@ -100,6 +110,81 @@ const Shape kShapes[] = {
 };
 constexpr size_t kNumShapes = sizeof(kShapes) / sizeof(kShapes[0]);
 
+// fedbench's local_scan ntuple: 8,000 events x 9 columns.
+constexpr size_t kStoredRows = 8000;
+
+struct StoredShape {
+  const char* name;
+  const char* sql;
+  /// Median ms of this query with the row-heap table layout (previous
+  /// commit), 4-vCPU x86-64 VM, RelWithDebInfo build.
+  double row_heap_ms;
+};
+
+const StoredShape kStoredShapes[] = {
+    {"stored_range",
+     "SELECT event_id, run_id, pt, eta, phi FROM ntuple_stored "
+     "WHERE pt > 50",
+     0.552},
+    {"stored_between",
+     "SELECT event_id, e_total, mass, chi2 FROM ntuple_stored "
+     "WHERE mass BETWEEN 90 AND 92",
+     2.725},
+    {"stored_topk",
+     "SELECT event_id, pt, nhits FROM ntuple_stored WHERE eta > -2 "
+     "ORDER BY pt DESC, event_id LIMIT 50",
+     1.812},
+};
+constexpr size_t kNumStoredShapes =
+    sizeof(kStoredShapes) / sizeof(kStoredShapes[0]);
+
+storage::TableSchema StoredSchema() {
+  using storage::DataType;
+  return storage::TableSchema(
+      "ntuple_stored",
+      {{"event_id", DataType::kInt64, true, true},
+       {"run_id", DataType::kInt64, true, false},
+       {"e_total", DataType::kDouble},
+       {"pt", DataType::kDouble},
+       {"eta", DataType::kDouble},
+       {"phi", DataType::kDouble},
+       {"nhits", DataType::kInt64},
+       {"chi2", DataType::kDouble},
+       {"mass", DataType::kDouble}});
+}
+
+// Physics-like columns with fedbench's distributions (exponential pt,
+// Gaussian eta and mass), already of their declared types.
+ResultSet StoredNtuple(size_t rows, uint64_t seed) {
+  Rng rng(seed);
+  auto exponential = [&](double mean) {
+    return -mean * std::log1p(-rng.NextDouble());
+  };
+  auto gaussian = [&](double mean, double sd) {
+    double u = 1.0 - rng.NextDouble();
+    return mean + sd * std::sqrt(-2.0 * std::log(u)) *
+                      std::cos(2.0 * 3.14159265358979323846 * rng.NextDouble());
+  };
+  ResultSet rs;
+  const storage::TableSchema schema = StoredSchema();
+  for (const storage::ColumnDef& col : schema.columns()) {
+    rs.columns.push_back(col.name);
+  }
+  rs.rows.reserve(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    double pt = exponential(18.0);
+    double eta = gaussian(0.0, 1.6);
+    rs.rows.push_back({Value(static_cast<int64_t>(r + 1)),
+                       Value(rng.UniformInt(1, 8)),
+                       Value(pt * std::cosh(eta) + exponential(2.0)),
+                       Value(pt), Value(eta),
+                       Value(rng.Uniform(-3.14159, 3.14159)),
+                       Value(rng.UniformInt(4, 48)), Value(exponential(1.0)),
+                       Value(std::fabs(gaussian(91.0, 6.0)))});
+  }
+  return rs;
+}
+
 const size_t kBatchSizes[] = {1, 4, 16, 64, 256, 1024, 4096};
 constexpr size_t kNumBatchSizes = sizeof(kBatchSizes) / sizeof(kBatchSizes[0]);
 constexpr size_t kDefaultBatchIndex = 5;  // 1024
@@ -130,6 +215,7 @@ int main(int argc, char** argv) {
   const std::string json_path =
       argc > 1 ? argv[1] : "BENCH_vectorized.json";
   constexpr int kIterations = 5;
+  constexpr int kStoredIterations = 31;
 
   std::printf("=== Extension: vectorized executor vs row-at-a-time "
               "reference ===\n");
@@ -204,15 +290,81 @@ int main(int argc, char** argv) {
                 ref_ms[s] / vec_ms[s][kDefaultBatchIndex]);
   }
 
+  // Stored local_scan shapes: the Database reads its chunks in place;
+  // the oracle reads the same rows through a MapTableSource.
+  ResultSet ntuple = StoredNtuple(kStoredRows, 6);
+  engine::Database db("stored", sql::Vendor::kMySql);
+  if (!db.CreateTable(StoredSchema()).ok() ||
+      !db.InsertRows("ntuple_stored", ntuple.rows).ok()) {
+    std::fprintf(stderr, "loading ntuple_stored failed\n");
+    return 1;
+  }
+  MapTableSource stored_oracle;
+  stored_oracle.Add("ntuple_stored", ntuple);
+  double stored_ref_ms[kNumStoredShapes] = {};
+  double stored_ms[kNumStoredShapes] = {};
+  size_t stored_rows[kNumStoredShapes] = {};
+  bool stored_pass = true;
+  for (size_t s = 0; s < kNumStoredShapes; ++s) {
+    auto stmt = sql::ParseSelect(kStoredShapes[s].sql, dialect);
+    if (!stmt.ok()) {
+      std::fprintf(stderr, "parse failed for %s\n", kStoredShapes[s].name);
+      return 1;
+    }
+    ResultSet ref_out;
+    std::vector<double> times;
+    for (int it = 0; it < kIterations; ++it) {
+      Stopwatch sw;
+      auto rs = bench::row_executor::ExecuteSelectReferenceRows(
+          **stmt, stored_oracle);
+      if (!rs.ok()) {
+        std::fprintf(stderr, "reference %s failed: %s\n",
+                     kStoredShapes[s].name, rs.status().ToString().c_str());
+        return 1;
+      }
+      times.push_back(sw.ElapsedMs());
+      ref_out = std::move(*rs);
+    }
+    stored_ref_ms[s] = Median(std::move(times));
+    times.clear();
+    for (int it = 0; it < kStoredIterations; ++it) {
+      Stopwatch sw;
+      auto rs = db.ExecuteSelect(**stmt);
+      if (!rs.ok()) {
+        std::fprintf(stderr, "stored %s failed: %s\n", kStoredShapes[s].name,
+                     rs.status().ToString().c_str());
+        return 1;
+      }
+      times.push_back(sw.ElapsedMs());
+      if (it == 0) {
+        stored_rows[s] = rs->rows.size();
+        if (!SameResult(ref_out, *rs)) {
+          std::fprintf(stderr, "OUTPUT MISMATCH: %s\n", kStoredShapes[s].name);
+          identical = false;
+        }
+      }
+    }
+    stored_ms[s] = Median(std::move(times));
+    double speedup = stored_ref_ms[s] / stored_ms[s];
+    if (speedup < 3.0) stored_pass = false;
+    std::printf("%-15s reference %9.3f ms | row heap %7.3f ms | stored "
+                "%7.3f ms | %5zu rows | speedup vs reference %.2fx\n",
+                kStoredShapes[s].name, stored_ref_ms[s],
+                kStoredShapes[s].row_heap_ms, stored_ms[s], stored_rows[s],
+                speedup);
+  }
+
   double join_speedup =
       ref_ms[2] / vec_ms[2][kDefaultBatchIndex];  // join_4way
   double scan_speedup =
       ref_ms[4] / vec_ms[4][kDefaultBatchIndex];  // ntuple_scan
-  bool pass = identical && join_speedup >= 3.0 && scan_speedup >= 3.0;
+  bool pass = identical && join_speedup >= 3.0 && scan_speedup >= 3.0 &&
+              stored_pass;
 
   std::printf("\njoin_4way speedup %.2fx (need >= 3x), ntuple_scan speedup "
-              "%.2fx (need >= 3x), outputs %s => %s\n",
-              join_speedup, scan_speedup,
+              "%.2fx (need >= 3x), stored shapes %s (need >= 3x each), "
+              "outputs %s => %s\n",
+              join_speedup, scan_speedup, stored_pass ? "ok" : "TOO SLOW",
               identical ? "identical" : "DIVERGED", pass ? "PASS" : "FAIL");
 
   FILE* f = std::fopen(json_path.c_str(), "w");
@@ -235,6 +387,20 @@ int main(int argc, char** argv) {
     std::fprintf(f, "], \"speedup_1024\": %.3f}%s\n",
                  ref_ms[s] / vec_ms[s][kDefaultBatchIndex],
                  s + 1 < kNumShapes ? "," : "");
+  }
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"stored_rows\": %zu,\n", kStoredRows);
+  std::fprintf(f, "  \"stored_shapes\": [\n");
+  for (size_t s = 0; s < kNumStoredShapes; ++s) {
+    std::fprintf(f, "    {\"name\": \"%s\", \"rows_returned\": %zu, "
+                "\"reference_ms\": %.3f, \"row_heap_ms\": %.3f, "
+                "\"stored_ms\": %.3f, \"speedup_vs_reference\": %.3f, "
+                "\"speedup_vs_row_heap\": %.3f}%s\n",
+                kStoredShapes[s].name, stored_rows[s], stored_ref_ms[s],
+                kStoredShapes[s].row_heap_ms, stored_ms[s],
+                stored_ref_ms[s] / stored_ms[s],
+                kStoredShapes[s].row_heap_ms / stored_ms[s],
+                s + 1 < kNumStoredShapes ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"join_4way_speedup\": %.3f,\n", join_speedup);

@@ -3,7 +3,8 @@
 // Production runs one executor, the vectorized one
 // (src/griddb/engine/vector_executor.cc, DESIGN.md §15). This header
 // keeps the row-at-a-time executor it replaced verbatim, apart from
-// borrowing tables through TableSource::BorrowTable: joins, WHERE,
+// boxing each table it reads from the source's column chunks into rows
+// first (the executor itself reads tables in place): joins, WHERE,
 // grouping and projection run one row at a time over the helpers the
 // engine shares for exactly this purpose (engine/executor_internal.h:
 // star expansion, output naming, equi-join detection, DISTINCT, ORDER BY
@@ -71,6 +72,12 @@ class BatchCancelCheck {
   size_t count_ = 0;
 };
 
+/// A table boxed into rows.
+struct RowTable {
+  std::vector<std::string> columns;
+  std::vector<Row> rows;
+};
+
 /// The working set during FROM/JOIN processing: a scope describing the
 /// concatenated columns and the joined rows.
 struct WorkingSet {
@@ -88,7 +95,7 @@ inline Row ConcatRows(const Row& a, const Row& b) {
 
 /// Joins `incoming` (a table's rows under `qualifier`) into `ws`.
 inline Status JoinInto(WorkingSet& ws, const std::string& qualifier,
-                       const TableView& incoming, sql::JoinType type,
+                       const RowTable& incoming, sql::JoinType type,
                        const sql::Expr* on, BatchCancelCheck& cancel) {
   Scope incoming_scope;
   incoming_scope.AddColumns(qualifier, incoming.columns);
@@ -105,9 +112,9 @@ inline Status JoinInto(WorkingSet& ws, const std::string& qualifier,
   if (type != sql::JoinType::kCross) {
     if (auto key = internal::DetectEquiJoin(on, ws.scope, incoming_scope)) {
       std::unordered_map<Value, std::vector<size_t>, storage::ValueHasher> hash;
-      hash.reserve(incoming.rows->size());
-      for (size_t r = 0; r < incoming.rows->size(); ++r) {
-        const Value& v = (*incoming.rows)[r][key->new_index];
+      hash.reserve(incoming.rows.size());
+      for (size_t r = 0; r < incoming.rows.size(); ++r) {
+        const Value& v = incoming.rows[r][key->new_index];
         if (!v.is_null()) hash[v].push_back(r);
       }
       size_t incoming_width = incoming.columns.size();
@@ -121,7 +128,7 @@ inline Status JoinInto(WorkingSet& ws, const std::string& qualifier,
           if (it != hash.end()) {
             const std::vector<size_t>& matches = it->second;
             for (size_t m = 0; m < matches.size(); ++m) {
-              const Row& right = (*incoming.rows)[matches[m]];
+              const Row& right = incoming.rows[matches[m]];
               if (m + 1 == matches.size()) {
                 // Last use of this probe row: its values move, only the
                 // build side is copied.
@@ -152,7 +159,7 @@ inline Status JoinInto(WorkingSet& ws, const std::string& qualifier,
   joined.reserve(ws.rows.size());
   for (Row& left : ws.rows) {
     bool matched = false;
-    for (const Row& right : *incoming.rows) {
+    for (const Row& right : incoming.rows) {
       GRIDDB_RETURN_IF_ERROR(cancel.Check());
       Row candidate = ConcatRows(left, right);
       if (on) {
@@ -181,47 +188,48 @@ inline Result<ResultSet> ExecuteSelectReferenceRows(
     const CancelToken* cancel = nullptr) {
   using detail::BatchCancelCheck;
   using detail::JoinInto;
+  using detail::RowTable;
   using detail::WorkingSet;
   if (stmt.from.empty()) return InvalidArgument("SELECT requires FROM");
   BatchCancelCheck cancel_check(cancel);
 
   GRIDDB_RETURN_IF_ERROR(internal::CheckDuplicateTables(stmt));
 
-  // Tables are borrowed in place when the source holds them materialized
-  // (the federated merge path and storage tables), skipping a whole-table
-  // copy per table; on-demand sources fall back to GetTable, with the
-  // returned copy kept alive in `owned` (a list: growth never invalidates
-  // the borrowed pointers).
-  std::list<ResultSet> owned;
-  auto table_for = [&](const std::string& name) -> Result<TableView> {
-    if (std::optional<TableView> borrowed = source.BorrowTable(name)) {
-      return *borrowed;
+  // Tables arrive as column chunks; this executor reads rows, so each
+  // table is boxed into rows first (kept alive in `owned`, a list: growth
+  // never invalidates the references handed out).
+  std::list<RowTable> owned;
+  auto table_for = [&](const std::string& name) -> Result<const RowTable*> {
+    GRIDDB_ASSIGN_OR_RETURN(TableView view, source.GetTable(name));
+    RowTable table;
+    table.columns = std::move(view.columns);
+    table.rows.reserve(view.data->rows);
+    for (const storage::RowBatch& chunk : view.data->chunks) {
+      storage::MaterializeRows(chunk, table.rows);
     }
-    GRIDDB_ASSIGN_OR_RETURN(ResultSet rs, source.GetTable(name));
-    owned.push_back(std::move(rs));
-    return TableView{owned.back().columns, &owned.back().rows};
+    owned.push_back(std::move(table));
+    return &owned.back();
   };
 
   // FROM list: first table seeds the working set, remaining are cross joins.
   WorkingSet ws;
   {
-    GRIDDB_ASSIGN_OR_RETURN(TableView first, table_for(stmt.from[0].table));
-    ws.scope.AddColumns(stmt.from[0].EffectiveName(), first.columns);
-    if (!owned.empty() && first.rows == &owned.back().rows) {
-      ws.rows = std::move(owned.back().rows);  // our copy: move, don't copy
-    } else {
-      ws.rows = *first.rows;  // borrowed: the working set mutates rows
-    }
+    GRIDDB_ASSIGN_OR_RETURN(const RowTable* first,
+                            table_for(stmt.from[0].table));
+    ws.scope.AddColumns(stmt.from[0].EffectiveName(), first->columns);
+    ws.rows = std::move(owned.back().rows);  // our copy: move, don't copy
   }
   for (size_t i = 1; i < stmt.from.size(); ++i) {
-    GRIDDB_ASSIGN_OR_RETURN(TableView table, table_for(stmt.from[i].table));
-    GRIDDB_RETURN_IF_ERROR(JoinInto(ws, stmt.from[i].EffectiveName(), table,
+    GRIDDB_ASSIGN_OR_RETURN(const RowTable* table,
+                            table_for(stmt.from[i].table));
+    GRIDDB_RETURN_IF_ERROR(JoinInto(ws, stmt.from[i].EffectiveName(), *table,
                                     sql::JoinType::kCross, nullptr,
                                     cancel_check));
   }
   for (const sql::Join& join : stmt.joins) {
-    GRIDDB_ASSIGN_OR_RETURN(TableView table, table_for(join.table.table));
-    GRIDDB_RETURN_IF_ERROR(JoinInto(ws, join.table.EffectiveName(), table,
+    GRIDDB_ASSIGN_OR_RETURN(const RowTable* table,
+                            table_for(join.table.table));
+    GRIDDB_RETURN_IF_ERROR(JoinInto(ws, join.table.EffectiveName(), *table,
                                     join.type, join.on.get(), cancel_check));
   }
 

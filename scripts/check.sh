@@ -68,9 +68,10 @@ echo "== perf gate: batch service bench =="
 
 echo "== perf gate: vectorized executor bench =="
 # Cold 4-way join and the wide-ntuple scan must stay >= 3x faster than
-# the row-at-a-time oracle (bench/row_executor_oracle.h), with
-# byte-identical output on every shape/batch size (results land in
-# BENCH_vectorized.json).
+# the row-at-a-time oracle (bench/row_executor_oracle.h), and so must each
+# of fedbench's three local_scan shapes (range scan, BETWEEN, top-K) over
+# a table stored in an engine::Database, with byte-identical output on
+# every shape/batch size (results land in BENCH_vectorized.json).
 ./build/bench/bench_ext_vectorized BENCH_vectorized.json
 
 echo "== perf gate: wire protocol bench =="

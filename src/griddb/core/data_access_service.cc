@@ -1145,9 +1145,9 @@ Result<ResultSet> DataAccessService::Execute(
   // The merge materializes every partial in middleware memory; reserve
   // that footprint against the byte budget so concurrent cross-database
   // joins cannot grow the heap without bound. Shed (kResourceExhausted)
-  // beats an OOM-killed server. The vectorized merge executor (DESIGN.md
-  // §15) columnarizes the partials into batch buffers that coexist with
-  // the source rows, so the peak is ~2x the wire footprint.
+  // beats an OOM-killed server. The merge executor (DESIGN.md §15)
+  // converts each partial into column chunks and boxes the merged result
+  // back into rows, so the peak is ~2x the wire footprint.
   size_t merge_bytes = 0;
   for (const auto& partial : partials) merge_bytes += partial.second.WireSize();
   merge_bytes *= 2;

@@ -10,6 +10,7 @@
 
 namespace griddb::engine {
 
+using storage::kChunkRows;
 using storage::ResultSet;
 using storage::Row;
 using storage::TableSchema;
@@ -27,45 +28,34 @@ Result<Value> EvalConst(const sql::Expr& expr) {
 }  // namespace
 
 /// TableSource that reads this database's tables, views and virtual
-/// system-catalog tables. Assumes the caller holds (at least) a shared lock.
+/// system-catalog tables. Assumes the caller holds (at least) a shared
+/// lock for the whole ExecuteSelect call, so lent chunks stay valid.
 class Database::DatabaseTableSource : public TableSource {
  public:
   explicit DatabaseTableSource(const Database& db) : db_(db) {}
 
-  Result<ResultSet> GetTable(const std::string& name) const override {
+  Result<TableView> GetTable(const std::string& name) const override {
     std::string key = ToLower(name);
     auto table_it = db_.tables_.find(key);
     if (table_it != db_.tables_.end()) {
+      // Base tables lend their stored chunks in place.
       const storage::Table& table = *table_it->second;
-      ResultSet rs;
+      TableView view;
+      view.columns.reserve(table.schema().num_columns());
       for (const storage::ColumnDef& col : table.schema().columns()) {
-        rs.columns.push_back(col.name);
+        view.columns.push_back(col.name);
       }
-      rs.rows = table.rows();
-      return rs;
+      view.data = &table.data();
+      return view;
     }
+    // Views and catalog tables are computed per call, converted once.
     auto view_it = db_.views_.find(key);
     if (view_it != db_.views_.end()) {
-      return db_.RunSelect(*view_it->second);
+      GRIDDB_ASSIGN_OR_RETURN(ResultSet rs, db_.RunSelect(*view_it->second));
+      return TableView::FromResultSet(std::move(rs));
     }
     GRIDDB_ASSIGN_OR_RETURN(ResultSet catalog, db_.CatalogTable(ToUpper(name)));
-    return catalog;
-  }
-
-  // Base tables lend their rows in place (the caller holds the database
-  // lock for the whole ExecuteSelect call, so the pointer stays valid);
-  // views and catalog tables must be materialized via GetTable.
-  std::optional<TableView> BorrowTable(const std::string& name) const override {
-    auto table_it = db_.tables_.find(ToLower(name));
-    if (table_it == db_.tables_.end()) return std::nullopt;
-    const storage::Table& table = *table_it->second;
-    TableView view;
-    view.columns.reserve(table.schema().columns().size());
-    for (const storage::ColumnDef& col : table.schema().columns()) {
-      view.columns.push_back(col.name);
-    }
-    view.rows = &table.rows();
-    return view;
+    return TableView::FromResultSet(std::move(catalog));
   }
 
  private:
@@ -321,18 +311,22 @@ Result<ResultSet> Database::ExecuteLocked(const sql::Statement& stmt,
       }
       set_positions.push_back(*idx);
     }
+    // WHERE and the assignments read the stored row in place, one row at
+    // a time (a failing row leaves earlier updates applied); only the
+    // rows WHERE selects are boxed.
     for (size_t r = 0; r < table.num_rows(); ++r) {
-      const Row& current = table.rows()[r];
+      const storage::RowBatch& chunk = table.data().chunks[r / kChunkRows];
+      const size_t i = r % kChunkRows;
       if (upd.where) {
-        GRIDDB_ASSIGN_OR_RETURN(Value v, Eval(*upd.where, scope, current));
+        GRIDDB_ASSIGN_OR_RETURN(Value v, Eval(*upd.where, scope, chunk, i));
         if (v.is_null()) continue;
         GRIDDB_ASSIGN_OR_RETURN(bool keep, v.AsBool());
         if (!keep) continue;
       }
-      Row updated = current;
+      Row updated = table.GetRow(r);
       for (size_t a = 0; a < upd.assignments.size(); ++a) {
-        GRIDDB_ASSIGN_OR_RETURN(Value v,
-                                Eval(*upd.assignments[a].second, scope, current));
+        GRIDDB_ASSIGN_OR_RETURN(
+            Value v, Eval(*upd.assignments[a].second, scope, chunk, i));
         updated[set_positions[a]] = std::move(v);
       }
       GRIDDB_RETURN_IF_ERROR(table.UpdateRow(r, std::move(updated)));
@@ -359,7 +353,9 @@ Result<ResultSet> Database::ExecuteLocked(const sql::Statement& stmt,
     std::vector<size_t> doomed;
     for (size_t r = 0; r < table.num_rows(); ++r) {
       if (d.where) {
-        GRIDDB_ASSIGN_OR_RETURN(Value v, Eval(*d.where, scope, table.rows()[r]));
+        GRIDDB_ASSIGN_OR_RETURN(
+            Value v, Eval(*d.where, scope,
+                          table.data().chunks[r / kChunkRows], r % kChunkRows));
         if (v.is_null()) continue;
         GRIDDB_ASSIGN_OR_RETURN(bool keep, v.AsBool());
         if (!keep) continue;
@@ -524,7 +520,7 @@ Result<storage::TableDigest> Database::ContentDigest(
   if (it == tables_.end()) {
     return NotFound("table '" + table + "' does not exist");
   }
-  return storage::DigestRows(it->second->rows());
+  return it->second->Digest();
 }
 
 }  // namespace griddb::engine

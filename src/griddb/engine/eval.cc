@@ -10,6 +10,7 @@ namespace griddb::engine {
 
 using storage::DataType;
 using storage::Row;
+using storage::RowBatch;
 using storage::Value;
 
 void Scope::AddColumns(const std::string& qualifier,

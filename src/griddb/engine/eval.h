@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "griddb/engine/column_vector.h"
+#include "griddb/storage/column_vector.h"
 #include "griddb/sql/ast.h"
 #include "griddb/storage/result_set.h"
 #include "griddb/storage/value.h"
@@ -65,7 +65,7 @@ Result<storage::Value> Eval(const sql::Expr& expr, const Scope& scope,
 /// code path with the Row overload, so laziness (CASE stops at the first
 /// taken WHEN, IN short-circuits) and error behaviour match exactly.
 Result<storage::Value> Eval(const sql::Expr& expr, const Scope& scope,
-                            const RowBatch& batch, size_t row);
+                            const storage::RowBatch& batch, size_t row);
 
 /// Combines an interior expression node from already-evaluated child
 /// values, exactly as grouped evaluation does: the children are folded to

@@ -55,7 +55,8 @@ void ApplyOffsetLimit(const sql::SelectStmt& stmt,
 /// directions. When `top_k` is set, only the first top_k rows of the
 /// sorted order are produced (and `rows` is truncated to top_k); ties
 /// break by original index, so the prefix is exactly the stable-sort
-/// prefix. Used by the vectorized path for ORDER BY + LIMIT.
+/// prefix. Orders grouped results (the executor orders plain rows on
+/// their typed key vectors instead) and the oracle's rows.
 void SortRowsByKeys(const sql::SelectStmt& stmt,
                     const std::vector<std::vector<storage::Value>>& order_keys,
                     std::vector<storage::Row>& rows,

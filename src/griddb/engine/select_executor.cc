@@ -4,6 +4,7 @@
 #include "griddb/engine/select_executor.h"
 
 #include <algorithm>
+#include <memory>
 #include <unordered_map>
 
 #include "griddb/engine/eval.h"
@@ -17,25 +18,33 @@ using storage::ResultSet;
 using storage::Row;
 using storage::Value;
 
-void MapTableSource::Add(std::string name, ResultSet rs) {
-  tables_.emplace_back(std::move(name), std::move(rs));
+Result<TableView> TableView::FromResultSet(ResultSet rs) {
+  TableView view;
+  GRIDDB_ASSIGN_OR_RETURN(storage::ChunkedRows data,
+                          storage::ChunkRows(std::move(rs.rows),
+                                             rs.columns.size()));
+  view.owned = std::make_shared<const storage::ChunkedRows>(std::move(data));
+  view.data = view.owned.get();
+  view.columns = std::move(rs.columns);
+  return view;
 }
 
-Result<ResultSet> MapTableSource::GetTable(const std::string& name) const {
-  for (const auto& [table_name, rs] : tables_) {
-    if (EqualsIgnoreCase(table_name, name)) return rs;
+void MapTableSource::Add(std::string name, ResultSet rs) {
+  size_t width = rs.columns.size();
+  tables_.push_back({std::move(name), std::move(rs.columns),
+                     storage::ChunkRows(std::move(rs.rows), width)});
+}
+
+Result<TableView> MapTableSource::GetTable(const std::string& name) const {
+  for (const Entry& entry : tables_) {
+    if (!EqualsIgnoreCase(entry.name, name)) continue;
+    if (!entry.data.ok()) return entry.data.status();
+    TableView view;
+    view.columns = entry.columns;
+    view.data = &*entry.data;
+    return view;
   }
   return NotFound("table '" + name + "' not found");
-}
-
-std::optional<TableView> MapTableSource::BorrowTable(
-    const std::string& name) const {
-  for (const auto& [table_name, rs] : tables_) {
-    if (EqualsIgnoreCase(table_name, name)) {
-      return TableView{rs.columns, &rs.rows};
-    }
-  }
-  return std::nullopt;
 }
 
 namespace internal {

@@ -5,9 +5,11 @@
 // driver's middleware-side join of per-mart partial results, and inside
 // warehouse view materialization.
 //
-// Execution is vectorized (DESIGN.md §15): columnar batches of
-// ExecOptions::batch_rows rows (typed ColumnVector payloads, hash join
-// and hash aggregation by gather, top-K ORDER BY under LIMIT). Its
+// Execution is vectorized (DESIGN.md §15) over typed column chunks:
+// tables are read in place, WHERE runs as typed kernels, hash join and
+// hash aggregation work by gather, ORDER BY under LIMIT selects its top K
+// on typed key vectors, and only the rows a query returns are boxed into
+// Values. Its
 // specification is the row-at-a-time executor kept as a parity oracle in
 // bench/row_executor_oracle.h; fault-free outputs are byte-identical to
 // it. Every ResultSet is rectangular (each row as wide as its column
@@ -15,50 +17,56 @@
 // table source yields a row of another width.
 #pragma once
 
-#include <optional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "griddb/sql/ast.h"
+#include "griddb/storage/column_vector.h"
 #include "griddb/storage/result_set.h"
 #include "griddb/util/cancellation.h"
 #include "griddb/util/status.h"
 
 namespace griddb::engine {
 
-/// Borrowed view of a materialized table: column names plus a pointer to
-/// its rows, valid for the duration of the ExecuteSelect call. Lets the
-/// vectorized scan read rows in place instead of copying the whole table.
+/// One table lent to the executor for one ExecuteSelect call: its column
+/// names and its rows as typed column chunks (storage::ChunkedRows). A
+/// stored table lends its chunks in place; a table the source computes
+/// for the call (a view, a catalog table) is converted to chunks once and
+/// owned by the view.
 struct TableView {
   std::vector<std::string> columns;
-  const std::vector<storage::Row>* rows;
+  const storage::ChunkedRows* data = nullptr;
+  std::shared_ptr<const storage::ChunkedRows> owned;
+
+  /// A view that owns `rs`'s rows, converted to chunks.
+  static Result<TableView> FromResultSet(storage::ResultSet rs);
 };
 
-/// Provides the rows of a named table (or view) to the executor.
+/// Provides the tables (or views) a SELECT reads.
 class TableSource {
  public:
   virtual ~TableSource() = default;
-  virtual Result<storage::ResultSet> GetTable(const std::string& name) const = 0;
-  /// Borrowing variant: a source holding materialized tables returns a
-  /// view (its rows stable for the duration of the ExecuteSelect call) so
-  /// the executor can read rows in place instead of copying the whole
-  /// table. Default: not available, the executor falls back to GetTable.
-  virtual std::optional<TableView> BorrowTable(const std::string& name) const {
-    (void)name;
-    return std::nullopt;
-  }
+  /// Lends the named table; what it points to stays valid and unchanged
+  /// for the duration of the ExecuteSelect call.
+  virtual Result<TableView> GetTable(const std::string& name) const = 0;
 };
 
-/// Simple TableSource over pre-materialized result sets keyed by name
-/// (case-insensitive). Used by the federated merge step.
+/// TableSource over named result sets (case-insensitive names). Used by
+/// the federated merge step: each partial result is converted to column
+/// chunks once, where it is added.
 class MapTableSource : public TableSource {
  public:
   void Add(std::string name, storage::ResultSet rs);
-  Result<storage::ResultSet> GetTable(const std::string& name) const override;
-  std::optional<TableView> BorrowTable(const std::string& name) const override;
+  Result<TableView> GetTable(const std::string& name) const override;
 
  private:
-  std::vector<std::pair<std::string, storage::ResultSet>> tables_;
+  struct Entry {
+    std::string name;
+    std::vector<std::string> columns;
+    Result<storage::ChunkedRows> data;  // kInternal for a ragged input
+  };
+  std::vector<Entry> tables_;
 };
 
 /// Execution knobs.
@@ -66,8 +74,10 @@ struct ExecOptions {
   /// Checked once per batch inside scan/join/filter/group/projection
   /// loops. Null keeps the loops check-free.
   const CancelToken* cancel = nullptr;
-  /// Rows per columnar batch; also the cancellation-check cadence.
-  size_t batch_rows = 1024;
+  /// Rows per batch the executor builds (join output, gathered
+  /// survivors); also the cancellation-check cadence. Stored tables are
+  /// read in their own storage::kChunkRows chunks.
+  size_t batch_rows = storage::kChunkRows;
 };
 
 /// Executes a SELECT against `source`. Joins, WHERE, GROUP BY/HAVING,

@@ -2,7 +2,9 @@
 
 namespace griddb::engine {
 
+using storage::ColumnVector;
 using storage::DataType;
+using storage::RowBatch;
 using storage::Value;
 
 namespace {
@@ -119,6 +121,17 @@ bool IsComparison(sql::BinaryOp op) {
          op == BinaryOp::kLe || op == BinaryOp::kGt || op == BinaryOp::kGe;
 }
 
+/// One pair of non-NULL numeric cells compared as Value::Compare does:
+/// int64/int64 as integers, any double involved as doubles.
+int NumCompare(const NumSide& a, const NumSide& b, size_t i) {
+  if (a.is_int && b.is_int) {
+    int64_t x = a.I(i), y = b.I(i);
+    return (x < y) ? -1 : (x > y ? 1 : 0);
+  }
+  double x = a.D(i), y = b.D(i);
+  return (x < y) ? -1 : (x > y ? 1 : 0);
+}
+
 /// Numeric comparison kernel, mirroring Value::Compare for numeric pairs:
 /// int64/int64 compares as integers, any double involved compares as
 /// double with (x<y)?-1:(x>y?1:0) — including its NaN-compares-equal
@@ -128,20 +141,12 @@ VectorRef CompareKernel(sql::BinaryOp op, const NumSide& a, const NumSide& b,
   using sql::BinaryOp;
   ColumnVector out;
   out.Reserve(n);
-  const bool both_int = a.is_int && b.is_int;
   for (size_t i = 0; i < n; ++i) {
     if (a.IsNull(i) || b.IsNull(i)) {
       out.AppendNull();
       continue;
     }
-    int cmp;
-    if (both_int) {
-      int64_t x = a.I(i), y = b.I(i);
-      cmp = (x < y) ? -1 : (x > y ? 1 : 0);
-    } else {
-      double x = a.D(i), y = b.D(i);
-      cmp = (x < y) ? -1 : (x > y ? 1 : 0);
-    }
+    const int cmp = NumCompare(a, b, i);
     bool res = false;
     switch (op) {
       case BinaryOp::kEq: res = cmp == 0; break;
@@ -152,6 +157,25 @@ VectorRef CompareKernel(sql::BinaryOp op, const NumSide& a, const NumSide& b,
       default: res = cmp >= 0; break;  // kGe
     }
     out.AppendBool(res);
+  }
+  return VectorRef::FromOwned(std::move(out));
+}
+
+/// [NOT] BETWEEN over numeric operands with eval.cc's rule: NULL when any
+/// operand is NULL, otherwise Compare(v, lo) >= 0 && Compare(v, hi) <= 0.
+/// Deliberately not `v >= lo AND v <= hi`: three-valued AND makes
+/// `5 BETWEEN NULL AND 3` FALSE, where this engine answers NULL.
+VectorRef BetweenKernel(bool negated, const NumSide& v, const NumSide& lo,
+                        const NumSide& hi, size_t n) {
+  ColumnVector out;
+  out.Reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (v.IsNull(i) || lo.IsNull(i) || hi.IsNull(i)) {
+      out.AppendNull();
+      continue;
+    }
+    bool in_range = NumCompare(v, lo, i) >= 0 && NumCompare(v, hi, i) <= 0;
+    out.AppendBool(negated ? !in_range : in_range);
   }
   return VectorRef::FromOwned(std::move(out));
 }
@@ -348,7 +372,19 @@ Result<VectorRef> EvalVector(const sql::Expr& expr, const Scope& scope,
       }
       return ElementwiseCombine(expr, kids, n);
     }
-    case sql::Expr::Kind::kBetween:
+    case sql::Expr::Kind::kBetween: {
+      std::vector<VectorRef> kids;
+      kids.reserve(3);
+      for (const sql::ExprPtr& child : expr.children) {
+        GRIDDB_ASSIGN_OR_RETURN(VectorRef c, EvalVector(*child, scope, batch));
+        kids.push_back(std::move(c));
+      }
+      NumSide v = AsNum(kids[0]), lo = AsNum(kids[1]), hi = AsNum(kids[2]);
+      if (v.valid && lo.valid && hi.valid) {
+        return BetweenKernel(expr.negated, v, lo, hi, n);
+      }
+      return ElementwiseCombine(expr, kids, n);
+    }
     case sql::Expr::Kind::kLike: {
       std::vector<VectorRef> kids;
       kids.reserve(expr.children.size());
@@ -426,6 +462,34 @@ Status SelectTruthy(const VectorRef& v, std::vector<uint32_t>& out) {
       }
       return Status::Ok();
   }
+}
+
+int CompareAt(const VectorRef& a, size_t i, const VectorRef& b, size_t j) {
+  if (!a.is_literal() && !b.is_literal()) {
+    const ColumnVector& x = a.vec();
+    const ColumnVector& y = b.vec();
+    const bool x_null = x.IsNull(i), y_null = y.IsNull(j);
+    if (x_null || y_null) return x_null == y_null ? 0 : (x_null ? -1 : 1);
+    using Rep = ColumnVector::Rep;
+    const Rep rx = x.rep(), ry = y.rep();
+    if (rx == Rep::kInt64 && ry == Rep::kInt64) {
+      int64_t p = x.ints()[i], q = y.ints()[j];
+      return (p < q) ? -1 : (p > q ? 1 : 0);
+    }
+    const bool x_num = rx == Rep::kInt64 || rx == Rep::kDouble;
+    const bool y_num = ry == Rep::kInt64 || ry == Rep::kDouble;
+    if (x_num && y_num) {
+      double p = rx == Rep::kInt64 ? static_cast<double>(x.ints()[i])
+                                   : x.doubles()[i];
+      double q = ry == Rep::kInt64 ? static_cast<double>(y.ints()[j])
+                                   : y.doubles()[j];
+      return (p < q) ? -1 : (p > q ? 1 : 0);
+    }
+    if (rx == Rep::kString && ry == Rep::kString) {
+      return x.strings()[i].compare(y.strings()[j]);
+    }
+  }
+  return a.At(i).Compare(b.At(j));
 }
 
 }  // namespace griddb::engine

@@ -1,25 +1,24 @@
 // Batch-at-a-time SELECT execution (DESIGN.md §15).
 //
-// The working set flows between operators as a list of RowBatch chunks of
-// at most ExecOptions::batch_rows rows each. Scan borrows table rows in
-// place and columnarizes them chunk by chunk; WHERE evaluates the
-// predicate once per chunk (EvalVector) and gathers survivors; joins
-// build an insertion-ordered hash table and emit gathered output chunks;
-// GROUP BY hashes key vectors to insertion-ordered groups and finalizes
-// aggregates through the same AggregateValues the row path uses; ORDER BY
-// with LIMIT runs top-K selection instead of a full sort. Cancellation is
-// checked once per chunk.
+// Tables arrive as typed column chunks (storage::ChunkedRows) and the
+// working set flows between operators as a list of RowBatch chunks. A
+// single-table scan reads the lent chunks in place; WHERE evaluates the
+// predicate once per chunk (EvalVector) over those stored arrays and
+// gathers the survivors of only the columns the rest of the statement
+// reads; joins build an insertion-ordered hash table and emit gathered
+// output chunks; GROUP BY hashes key vectors to insertion-ordered groups
+// and finalizes aggregates through the same AggregateValues the row path
+// uses. Select items and ORDER BY keys are evaluated as vectors, rows are
+// ordered (top-K under LIMIT) by comparing typed key cells, and only the
+// rows the query returns are boxed into Values. Cancellation is checked
+// once per chunk.
 //
 // Parity contract: on fault-free inputs the emitted ResultSet is
 // byte-identical to the row-at-a-time oracle in
 // bench/row_executor_oracle.h. Expressions the columnar form cannot
 // evaluate identically fall back to the shared scalar kernels
-// (vector_eval.cc). Input tables are rectangular (select_executor.h); a
-// row of another width is a program bug and fails the query with
-// kInternal where the row is read.
+// (vector_eval.cc).
 #include <algorithm>
-#include <functional>
-#include <list>
 #include <optional>
 #include <unordered_map>
 
@@ -41,8 +40,11 @@ using internal::EquiJoinKey;
 using internal::ExpandStars;
 using internal::SortRowsByKeys;
 using internal::StatementHasAggregate;
+using storage::ColumnVector;
+using storage::kChunkRows;
 using storage::ResultSet;
 using storage::Row;
+using storage::RowBatch;
 using storage::Value;
 
 struct EngineMetrics {
@@ -67,91 +69,48 @@ Status CheckCancel(const CancelToken* cancel) {
 }
 
 /// The working set between operators: a scope naming the columns and the
-/// rows as a sequence of columnar chunks.
+/// rows as a sequence of columnar chunks — a lent table's own chunks,
+/// read in place, until an operator builds new ones.
 struct VecWorkingSet {
   Scope scope;
-  std::vector<RowBatch> chunks;
+  const std::vector<RowBatch>* lent = nullptr;
+  std::vector<RowBatch> owned;
   size_t total_rows = 0;
 
   size_t width() const { return scope.size(); }
+  const std::vector<RowBatch>& chunks() const { return lent ? *lent : owned; }
 
+  /// Counts the batches and tracks the peak bytes the executor itself
+  /// holds (lent chunks belong to the table).
   void TrackPeak() const {
     size_t bytes = 0;
-    for (const RowBatch& b : chunks) bytes += b.ByteSize();
+    for (const RowBatch& b : owned) bytes += b.ByteSize();
     EngineMetrics& m = Metrics();
-    m.batches->Add(chunks.size());
+    m.batches->Add(chunks().size());
     if (static_cast<double>(bytes) > m.batch_bytes_peak->value()) {
       m.batch_bytes_peak->Set(static_cast<double>(bytes));
     }
   }
 };
 
-/// Borrows tables from the source, keeping owned copies alive (in a list,
-/// so growth never moves them) when the source cannot lend rows in place.
-class TableLender {
- public:
-  explicit TableLender(const TableSource& source) : source_(source) {}
-
-  Result<TableView> Borrow(const std::string& name) {
-    if (std::optional<TableView> view = source_.BorrowTable(name)) {
-      return *view;
+/// Appends cells idx[k] of column `c` of a lent table, where idx holds
+/// row numbers across its chunks and kNullIndex appends NULL.
+void GatherLent(const std::vector<RowBatch>& chunks, size_t c,
+                const std::vector<uint32_t>& idx, ColumnVector& out) {
+  if (chunks.size() == 1) {
+    out.AppendGather(chunks[0].cols[c], idx.data(), idx.size());
+    return;
+  }
+  for (uint32_t i : idx) {
+    if (i == ColumnVector::kNullIndex) {
+      out.AppendNull();
+    } else {
+      out.AppendCell(chunks[i / kChunkRows].cols[c], i % kChunkRows);
     }
-    GRIDDB_ASSIGN_OR_RETURN(ResultSet rs, source_.GetTable(name));
-    owned_.push_back(std::move(rs));
-    return TableView{owned_.back().columns, &owned_.back().rows};
   }
-
- private:
-  const TableSource& source_;
-  std::list<ResultSet> owned_;  // list: growth keeps row pointers stable
-};
-
-/// kInternal for row `r` of a table whose rows should all be `width` wide.
-Status WidthMismatch(size_t r, size_t got, size_t width) {
-  return Internal("table row " + std::to_string(r) + " has " +
-                  std::to_string(got) + " cells for " + std::to_string(width) +
-                  " columns");
 }
 
-/// Columnarizes `rows` into chunks of at most `batch_rows`.
-Status Columnarize(const std::vector<Row>& rows, size_t width,
-                   size_t batch_rows, const CancelToken* cancel,
-                   std::vector<RowBatch>& out) {
-  for (size_t start = 0; start < rows.size(); start += batch_rows) {
-    GRIDDB_RETURN_IF_ERROR(CheckCancel(cancel));
-    size_t len = std::min(batch_rows, rows.size() - start);
-    RowBatch batch;
-    batch.cols.resize(width);
-    for (ColumnVector& col : batch.cols) col.Reserve(len);
-    for (size_t r = start; r < start + len; ++r) {
-      const Row& row = rows[r];
-      if (row.size() != width) return WidthMismatch(r, row.size(), width);
-      for (size_t c = 0; c < width; ++c) batch.cols[c].Append(row[c]);
-    }
-    batch.rows = len;
-    out.push_back(std::move(batch));
-  }
-  return Status::Ok();
-}
-
-/// Columnarizes a whole table into ONE batch (the join build side needs a
-/// single gather target spanning every build row).
-Status ColumnarizeWhole(const TableView& view, const CancelToken* cancel,
-                        RowBatch& out) {
-  size_t width = view.columns.size();
-  out.cols.resize(width);
-  for (ColumnVector& col : out.cols) col.Reserve(view.rows->size());
-  for (size_t r = 0; r < view.rows->size(); ++r) {
-    if (r % 4096 == 0) GRIDDB_RETURN_IF_ERROR(CheckCancel(cancel));
-    const Row& row = (*view.rows)[r];
-    if (row.size() != width) return WidthMismatch(r, row.size(), width);
-    for (size_t c = 0; c < width; ++c) out.cols[c].Append(row[c]);
-  }
-  out.rows = view.rows->size();
-  return Status::Ok();
-}
-
-/// Hash join / nested-loop join of `right` into `ws`, columnar.
+/// Hash join / nested-loop join of `right_view` into `ws`, columnar.
 /// Output row order matches the row oracle exactly: probe rows in
 /// working-set order, duplicate-key matches in build insertion order,
 /// LEFT-join padding immediately after each unmatched probe row.
@@ -163,8 +122,10 @@ Status JoinIntoVec(VecWorkingSet& ws, const std::string& qualifier,
   Scope combined = ws.scope;
   combined.AddColumns(qualifier, right_view.columns);
 
-  RowBatch right;
-  GRIDDB_RETURN_IF_ERROR(ColumnarizeWhole(right_view, opts.cancel, right));
+  // The build side stays in its lent chunks; build rows are numbered
+  // across them (row r is in chunk r / kChunkRows).
+  const std::vector<RowBatch>& right = right_view.data->chunks;
+  const size_t right_rows = right_view.data->rows;
 
   size_t left_width = ws.width();
   size_t right_width = right_view.columns.size();
@@ -186,35 +147,41 @@ Status JoinIntoVec(VecWorkingSet& ws, const std::string& qualifier,
     // any other representation (doubles, mixed/boxed columns) keeps the
     // Value-keyed table, which matches cross-type numeric keys the same
     // way the row oracle's does.
-    const ColumnVector& build_col = right.cols[key->new_index];
     auto int_keyed = [](const ColumnVector& col) {
       return col.rep() == ColumnVector::Rep::kInt64 ||
              col.rep() == ColumnVector::Rep::kNone;  // kNone = all NULL
     };
-    bool typed_keys = int_keyed(build_col);
-    for (const RowBatch& chunk : ws.chunks) {
+    bool typed_keys = true;
+    for (const RowBatch& chunk : right) {
+      if (!int_keyed(chunk.cols[key->new_index])) typed_keys = false;
+    }
+    for (const RowBatch& chunk : ws.chunks()) {
       if (!int_keyed(chunk.cols[key->left_index])) typed_keys = false;
     }
 
     std::unordered_map<int64_t, std::vector<uint32_t>> int_hash;
     std::unordered_map<Value, std::vector<uint32_t>, storage::ValueHasher>
         hash;
-    if (typed_keys && build_col.rep() == ColumnVector::Rep::kInt64) {
-      int_hash.reserve(right.rows);
-      const int64_t* keys = build_col.ints();
-      for (size_t r = 0; r < right.rows; ++r) {
-        if (build_col.IsNull(r)) continue;
-        int_hash[keys[r]].push_back(static_cast<uint32_t>(r));
-      }
-    } else if (!typed_keys) {
-      hash.reserve(right.rows);
-      for (size_t r = 0; r < right.rows; ++r) {
-        if (build_col.IsNull(r)) continue;
-        hash[build_col.Get(r)].push_back(static_cast<uint32_t>(r));
+    if (typed_keys) {
+      int_hash.reserve(right_rows);
+    } else {
+      hash.reserve(right_rows);
+    }
+    for (size_t ci = 0; ci < right.size(); ++ci) {
+      const ColumnVector& build_col = right[ci].cols[key->new_index];
+      const uint32_t base = static_cast<uint32_t>(ci * kChunkRows);
+      for (size_t r = 0; r < right[ci].rows; ++r) {
+        if (build_col.IsNull(r)) continue;  // all of a kNone column
+        const uint32_t row = base + static_cast<uint32_t>(r);
+        if (typed_keys) {
+          int_hash[build_col.ints()[r]].push_back(row);
+        } else {
+          hash[build_col.Get(r)].push_back(row);
+        }
       }
     }
 
-    for (const RowBatch& chunk : ws.chunks) {
+    for (const RowBatch& chunk : ws.chunks()) {
       GRIDDB_RETURN_IF_ERROR(CheckCancel(opts.cancel));
       const ColumnVector& probe_col = chunk.cols[key->left_index];
       const int64_t* probe_ints =
@@ -224,16 +191,12 @@ Status JoinIntoVec(VecWorkingSet& ws, const std::string& qualifier,
       auto flush = [&]() {
         if (lidx.empty()) return;
         RowBatch out;
-        out.cols.reserve(out_width);
+        out.cols.resize(out_width);
         for (size_t c = 0; c < left_width; ++c) {
-          ColumnVector cv;
-          cv.AppendGather(chunk.cols[c], lidx.data(), lidx.size());
-          out.cols.push_back(std::move(cv));
+          out.cols[c].AppendGather(chunk.cols[c], lidx.data(), lidx.size());
         }
         for (size_t c = 0; c < right_width; ++c) {
-          ColumnVector cv;
-          cv.AppendGather(right.cols[c], ridx.data(), ridx.size());
-          out.cols.push_back(std::move(cv));
+          GatherLent(right, c, ridx, out.cols[left_width + c]);
         }
         out.rows = lidx.size();
         out_rows += out.rows;
@@ -283,50 +246,48 @@ Status JoinIntoVec(VecWorkingSet& ws, const std::string& qualifier,
       pending = RowBatch();
       pending.cols.resize(out_width);
     };
-    for (const RowBatch& chunk : ws.chunks) {
+    for (const RowBatch& chunk : ws.chunks()) {
       for (size_t i = 0; i < chunk.rows; ++i) {
         GRIDDB_RETURN_IF_ERROR(CheckCancel(opts.cancel));
         bool matched = false;
-        for (size_t start = 0; start < right.rows;
-             start += opts.batch_rows) {
-          size_t len = std::min(opts.batch_rows, right.rows - start);
-          RowBatch cand;
-          cand.cols.reserve(out_width);
-          std::vector<uint32_t> broadcast(len, static_cast<uint32_t>(i));
-          for (size_t c = 0; c < left_width; ++c) {
-            ColumnVector cv;
-            cv.AppendGather(chunk.cols[c], broadcast.data(), len);
-            cand.cols.push_back(std::move(cv));
-          }
-          for (size_t c = 0; c < right_width; ++c) {
-            ColumnVector cv;
-            cv.AppendSlice(right.cols[c], start, len);
-            cand.cols.push_back(std::move(cv));
-          }
-          cand.rows = len;
-          std::vector<uint32_t> keep;
-          if (on) {
-            GRIDDB_ASSIGN_OR_RETURN(VectorRef v,
-                                    EvalVector(*on, combined, cand));
-            GRIDDB_RETURN_IF_ERROR(SelectTruthy(v, keep));
-          } else {
-            keep.resize(len);
-            for (size_t k = 0; k < len; ++k) {
-              keep[k] = static_cast<uint32_t>(k);
+        for (const RowBatch& build : right) {
+          for (size_t start = 0; start < build.rows;
+               start += opts.batch_rows) {
+            size_t len = std::min(opts.batch_rows, build.rows - start);
+            RowBatch cand;
+            cand.cols.resize(out_width);
+            std::vector<uint32_t> broadcast(len, static_cast<uint32_t>(i));
+            for (size_t c = 0; c < left_width; ++c) {
+              cand.cols[c].AppendGather(chunk.cols[c], broadcast.data(), len);
             }
+            for (size_t c = 0; c < right_width; ++c) {
+              cand.cols[left_width + c].AppendSlice(build.cols[c], start, len);
+            }
+            cand.rows = len;
+            std::vector<uint32_t> keep;
+            if (on) {
+              GRIDDB_ASSIGN_OR_RETURN(VectorRef v,
+                                      EvalVector(*on, combined, cand));
+              GRIDDB_RETURN_IF_ERROR(SelectTruthy(v, keep));
+            } else {
+              keep.resize(len);
+              for (size_t k = 0; k < len; ++k) {
+                keep[k] = static_cast<uint32_t>(k);
+              }
+            }
+            if (keep.empty()) continue;
+            matched = true;
+            for (size_t c = 0; c < out_width; ++c) {
+              pending.cols[c].AppendGather(cand.cols[c], keep.data(),
+                                           keep.size());
+            }
+            pending.rows += keep.size();
+            if (pending.rows >= opts.batch_rows) flush_pending();
           }
-          if (keep.empty()) continue;
-          matched = true;
-          for (size_t c = 0; c < out_width; ++c) {
-            pending.cols[c].AppendGather(cand.cols[c], keep.data(),
-                                         keep.size());
-          }
-          pending.rows += keep.size();
-          if (pending.rows >= opts.batch_rows) flush_pending();
         }
         if (!matched && type == sql::JoinType::kLeft) {
           for (size_t c = 0; c < left_width; ++c) {
-            pending.cols[c].Append(chunk.cols[c].Get(i));
+            pending.cols[c].AppendCell(chunk.cols[c], i);
           }
           for (size_t c = left_width; c < out_width; ++c) {
             pending.cols[c].AppendNull();
@@ -340,33 +301,105 @@ Status JoinIntoVec(VecWorkingSet& ws, const std::string& qualifier,
   }
 
   ws.scope = std::move(combined);
-  ws.chunks = std::move(out_chunks);
+  ws.lent = nullptr;
+  ws.owned = std::move(out_chunks);
   ws.total_rows = out_rows;
   ws.TrackPeak();
   return Status::Ok();
 }
 
-/// WHERE: evaluate the predicate once per chunk, gather survivors.
-Status FilterVec(VecWorkingSet& ws, const sql::Expr& where,
+/// The scope columns the statement reads after WHERE (select items,
+/// GROUP BY, HAVING, ORDER BY), in scope order. nullopt means every
+/// column: a `*` item, or a reference that does not resolve to one column
+/// (evaluation then reports it against the full scope).
+std::optional<std::vector<size_t>> ColumnsReadAfterWhere(
+    const sql::SelectStmt& stmt, const Scope& scope) {
+  std::vector<const sql::ColumnRef*> refs;
+  std::vector<std::string> names;
+  for (const sql::SelectItem& item : stmt.items) {
+    if (item.expr->kind == sql::Expr::Kind::kStar) return std::nullopt;
+    sql::CollectColumnRefs(*item.expr, refs);
+    if (!stmt.order_by.empty()) names.push_back(internal::OutputName(item));
+  }
+  for (const sql::ExprPtr& g : stmt.group_by) sql::CollectColumnRefs(*g, refs);
+  if (stmt.having) sql::CollectColumnRefs(*stmt.having, refs);
+  for (const sql::OrderItem& item : stmt.order_by) {
+    // An unqualified name matching an output column orders by the output.
+    if (item.expr->kind == sql::Expr::Kind::kColumn &&
+        item.expr->column_ref.table.empty() &&
+        std::any_of(names.begin(), names.end(), [&](const std::string& n) {
+          return EqualsIgnoreCase(n, item.expr->column_ref.column);
+        })) {
+      continue;
+    }
+    sql::CollectColumnRefs(*item.expr, refs);
+  }
+  std::vector<bool> read(scope.size(), false);
+  for (const sql::ColumnRef* ref : refs) {
+    Result<size_t> idx = scope.Resolve(*ref);
+    if (!idx.ok()) return std::nullopt;
+    read[*idx] = true;
+  }
+  std::vector<size_t> cols;
+  for (size_t i = 0; i < read.size(); ++i) {
+    if (read[i]) cols.push_back(i);
+  }
+  if (cols.size() == scope.size()) return std::nullopt;
+  return cols;
+}
+
+/// WHERE: evaluates the predicate once per chunk, reading lent columns in
+/// place, and gathers the surviving rows of the columns the rest of the
+/// statement reads (ColumnsReadAfterWhere); the scope narrows to match.
+Status FilterVec(VecWorkingSet& ws, const sql::SelectStmt& stmt,
                  const ExecOptions& opts) {
+  const std::optional<std::vector<size_t>> read =
+      ColumnsReadAfterWhere(stmt, ws.scope);
+  std::vector<size_t> cols;
+  if (read) {
+    cols = *read;
+  } else {
+    for (size_t c = 0; c < ws.width(); ++c) cols.push_back(c);
+  }
+  const std::vector<RowBatch>& chunks = ws.chunks();
   std::vector<RowBatch> kept;
   size_t total = 0;
-  for (RowBatch& chunk : ws.chunks) {
+  for (size_t ci = 0; ci < chunks.size(); ++ci) {
+    const RowBatch& chunk = chunks[ci];
     GRIDDB_RETURN_IF_ERROR(CheckCancel(opts.cancel));
-    GRIDDB_ASSIGN_OR_RETURN(VectorRef v, EvalVector(where, ws.scope, chunk));
+    GRIDDB_ASSIGN_OR_RETURN(VectorRef v,
+                            EvalVector(*stmt.where, ws.scope, chunk));
     std::vector<uint32_t> keep;
     GRIDDB_RETURN_IF_ERROR(SelectTruthy(v, keep));
     if (keep.empty()) continue;
-    if (keep.size() == chunk.rows) {
-      total += chunk.rows;
-      kept.push_back(std::move(chunk));
-    } else {
-      RowBatch gathered = GatherBatch(chunk, keep.data(), keep.size());
-      total += gathered.rows;
-      kept.push_back(std::move(gathered));
+    total += keep.size();
+    const bool all_rows = keep.size() == chunk.rows;
+    if (all_rows && !read && !ws.lent) {
+      kept.push_back(std::move(ws.owned[ci]));
+      continue;
     }
+    RowBatch out;
+    out.cols.resize(cols.size());
+    for (size_t k = 0; k < cols.size(); ++k) {
+      if (all_rows) {
+        out.cols[k].AppendSlice(chunk.cols[cols[k]], 0, chunk.rows);
+      } else {
+        out.cols[k].AppendGather(chunk.cols[cols[k]], keep.data(),
+                                 keep.size());
+      }
+    }
+    out.rows = keep.size();
+    kept.push_back(std::move(out));
   }
-  ws.chunks = std::move(kept);
+  if (read) {
+    Scope narrowed;
+    for (size_t c : cols) {
+      narrowed.Add(ws.scope.qualifier(c), ws.scope.column(c));
+    }
+    ws.scope = std::move(narrowed);
+  }
+  ws.lent = nullptr;
+  ws.owned = std::move(kept);
   ws.total_rows = total;
   return Status::Ok();
 }
@@ -383,8 +416,9 @@ struct GroupedRows {
 Status BuildGroups(const VecWorkingSet& ws, const sql::SelectStmt& stmt,
                    const ExecOptions& opts, GroupedRows& groups) {
   std::unordered_map<size_t, std::vector<size_t>> buckets;  // hash -> group
-  for (uint32_t ci = 0; ci < ws.chunks.size(); ++ci) {
-    const RowBatch& chunk = ws.chunks[ci];
+  const std::vector<RowBatch>& chunks = ws.chunks();
+  for (uint32_t ci = 0; ci < chunks.size(); ++ci) {
+    const RowBatch& chunk = chunks[ci];
     GRIDDB_RETURN_IF_ERROR(CheckCancel(opts.cancel));
     std::vector<VectorRef> key_refs;
     key_refs.reserve(stmt.group_by.size());
@@ -430,8 +464,8 @@ Status BuildGroups(const VecWorkingSet& ws, const sql::SelectStmt& stmt,
     groups.members.assign(1, {});
     GroupMembers& all = groups.members[0];
     all.reserve(ws.total_rows);
-    for (uint32_t ci = 0; ci < ws.chunks.size(); ++ci) {
-      for (uint32_t ri = 0; ri < ws.chunks[ci].rows; ++ri) {
+    for (uint32_t ci = 0; ci < chunks.size(); ++ci) {
+      for (uint32_t ri = 0; ri < chunks[ci].rows; ++ri) {
         all.push_back({ci, ri});
       }
     }
@@ -556,97 +590,13 @@ void GatherSurvivors(const std::vector<RowBatch>& chunks,
   }
 }
 
-/// Fast path for plain projections of a single table (no joins, WHERE,
-/// grouping, ordering or DISTINCT): resolve each output column once, then
-/// copy only the rows LIMIT/OFFSET keeps. This is the ntuple-scan shape —
-/// the row oracle re-resolves every column name for every row.
-Result<std::optional<ResultSet>> TryFastScan(
-    const sql::SelectStmt& stmt, const TableView& view,
-    const ExecOptions& opts) {
-  Scope scope;
-  scope.AddColumns(stmt.from[0].EffectiveName(), view.columns);
-  std::vector<sql::SelectItem> items;
-  std::vector<std::string> names;
-  GRIDDB_RETURN_IF_ERROR(ExpandStars(stmt, scope, items, names));
-  for (const sql::SelectItem& item : items) {
-    if (item.expr->kind != sql::Expr::Kind::kColumn &&
-        item.expr->kind != sql::Expr::Kind::kLiteral) {
-      return std::optional<ResultSet>();  // general path
-    }
-  }
-
-  ResultSet out;
-  out.columns = std::move(names);
-  const std::vector<Row>& rows = *view.rows;
-  if (rows.empty()) return std::optional<ResultSet>(std::move(out));
-
-  size_t width = view.columns.size();
-  struct Slot {
-    size_t index;  // column index, or npos for a literal
-    const Value* literal;
-  };
-  constexpr size_t kLiteralSlot = static_cast<size_t>(-1);
-  std::vector<Slot> slots;
-  slots.reserve(items.size());
-  bool identity = items.size() == width;
-  for (size_t i = 0; i < items.size(); ++i) {
-    const sql::SelectItem& item = items[i];
-    if (item.expr->kind == sql::Expr::Kind::kLiteral) {
-      slots.push_back({kLiteralSlot, &item.expr->literal});
-      identity = false;
-      continue;
-    }
-    GRIDDB_ASSIGN_OR_RETURN(size_t idx, scope.Resolve(item.expr->column_ref));
-    slots.push_back({idx, nullptr});
-    if (idx != i) identity = false;
-  }
-
-  size_t start = 0, end = rows.size();
-  if (stmt.offset && *stmt.offset > 0) {
-    start = std::min<size_t>(end, static_cast<size_t>(*stmt.offset));
-  }
-  if (stmt.limit && *stmt.limit >= 0) {
-    end = std::min(end, start + static_cast<size_t>(*stmt.limit));
-  }
-
-  if (identity) {
-    GRIDDB_RETURN_IF_ERROR(CheckCancel(opts.cancel));
-    out.rows.assign(rows.begin() + static_cast<long>(start),
-                    rows.begin() + static_cast<long>(end));
-    return std::optional<ResultSet>(std::move(out));
-  }
-  out.rows.reserve(end - start);
-  for (size_t r = start; r < end; ++r) {
-    if ((r - start) % 4096 == 0) {
-      GRIDDB_RETURN_IF_ERROR(CheckCancel(opts.cancel));
-    }
-    if (rows[r].size() != width) {
-      return WidthMismatch(r, rows[r].size(), width);
-    }
-    Row projected;
-    projected.reserve(slots.size());
-    for (const Slot& slot : slots) {
-      projected.push_back(slot.index == kLiteralSlot ? *slot.literal
-                                                     : rows[r][slot.index]);
-    }
-    out.rows.push_back(std::move(projected));
-  }
-  return std::optional<ResultSet>(std::move(out));
-}
-
-bool IsPlainScanShape(const sql::SelectStmt& stmt) {
-  return stmt.from.size() == 1 && stmt.joins.empty() && !stmt.where &&
-         stmt.group_by.empty() && !stmt.having && stmt.order_by.empty() &&
-         !stmt.distinct;
-}
-
-/// ORDER BY key vectors for one output batch. `projected` are the already
-/// evaluated select-item vectors (for position/alias references).
+/// ORDER BY key vectors for one chunk. `projected` are the already
+/// evaluated select-item vectors (for position/alias references); other
+/// keys are evaluated into `scratch`, which must not reallocate.
 Result<std::vector<const VectorRef*>> OrderKeyRefs(
     const sql::SelectStmt& stmt, const std::vector<std::string>& names,
-    const std::vector<VectorRef>& projected,
-    std::vector<VectorRef>& scratch,
-    const std::function<Result<VectorRef>(const sql::Expr&)>& eval_expr) {
+    const std::vector<VectorRef>& projected, std::vector<VectorRef>& scratch,
+    const Scope& scope, const RowBatch& chunk) {
   std::vector<const VectorRef*> refs;
   refs.reserve(stmt.order_by.size());
   for (const sql::OrderItem& item : stmt.order_by) {
@@ -671,11 +621,123 @@ Result<std::vector<const VectorRef*>> OrderKeyRefs(
       }
       if (found) continue;
     }
-    GRIDDB_ASSIGN_OR_RETURN(VectorRef v, eval_expr(*item.expr));
+    GRIDDB_ASSIGN_OR_RETURN(VectorRef v, EvalVector(*item.expr, scope, chunk));
     scratch.push_back(std::move(v));
     refs.push_back(&scratch.back());
   }
   return refs;
+}
+
+/// A working-set row: its chunk and its row in the chunk. Sorting by
+/// (chunk, row) is working-set order.
+struct RowRef {
+  uint32_t chunk;
+  uint32_t row;
+  bool operator<(const RowRef& o) const {
+    return chunk != o.chunk ? chunk < o.chunk : row < o.row;
+  }
+};
+
+/// Projection without aggregates. Select items and ORDER BY keys are
+/// evaluated as vectors over every chunk (so errors surface exactly where
+/// the row oracle's would), rows are ordered by comparing typed key
+/// cells, and only the rows the query returns are boxed: the top K under
+/// ORDER BY ... LIMIT, the OFFSET/LIMIT window otherwise. DISTINCT has to
+/// see every row, so it boxes them all before the window applies.
+Result<ResultSet> ProjectRows(const sql::SelectStmt& stmt,
+                              const VecWorkingSet& ws,
+                              const std::vector<sql::SelectItem>& items,
+                              std::vector<std::string> names,
+                              std::optional<size_t> top_k,
+                              const ExecOptions& opts) {
+  const std::vector<RowBatch>& chunks = ws.chunks();
+  const bool has_order = !stmt.order_by.empty();
+  struct ChunkVectors {
+    std::vector<VectorRef> items;
+    std::vector<VectorRef> scratch;  // ORDER BY keys that are not items
+    std::vector<const VectorRef*> keys;
+  };
+  std::vector<ChunkVectors> vecs(chunks.size());  // never reallocates
+  std::vector<RowRef> rows;
+  rows.reserve(ws.total_rows);
+  for (uint32_t ci = 0; ci < chunks.size(); ++ci) {
+    GRIDDB_RETURN_IF_ERROR(CheckCancel(opts.cancel));
+    ChunkVectors& cv = vecs[ci];
+    cv.items.reserve(items.size());
+    for (const sql::SelectItem& item : items) {
+      GRIDDB_ASSIGN_OR_RETURN(VectorRef v,
+                              EvalVector(*item.expr, ws.scope, chunks[ci]));
+      cv.items.push_back(std::move(v));
+    }
+    if (has_order) {
+      cv.scratch.reserve(stmt.order_by.size());
+      GRIDDB_ASSIGN_OR_RETURN(cv.keys,
+                              OrderKeyRefs(stmt, names, cv.items, cv.scratch,
+                                           ws.scope, chunks[ci]));
+    }
+    for (uint32_t r = 0; r < chunks[ci].rows; ++r) rows.push_back({ci, r});
+  }
+
+  if (has_order) {
+    // Three-way comparison in ORDER BY direction: < 0 sorts `a` first.
+    auto compare = [&](RowRef a, RowRef b) {
+      for (size_t k = 0; k < stmt.order_by.size(); ++k) {
+        int cmp = CompareAt(*vecs[a.chunk].keys[k], a.row,
+                            *vecs[b.chunk].keys[k], b.row);
+        if (cmp != 0) {
+          cmp = cmp < 0 ? -1 : 1;
+          return stmt.order_by[k].ascending ? cmp : -cmp;
+        }
+      }
+      return 0;
+    };
+    if (top_k && *top_k < rows.size()) {
+      // Tie-break on working-set order: the order becomes total and the
+      // selected prefix is exactly the stable sort's prefix.
+      std::partial_sort(rows.begin(),
+                        rows.begin() + static_cast<long>(*top_k), rows.end(),
+                        [&](RowRef a, RowRef b) {
+                          int cmp = compare(a, b);
+                          return cmp != 0 ? cmp < 0 : a < b;
+                        });
+      rows.resize(*top_k);
+    } else {
+      std::stable_sort(rows.begin(), rows.end(), [&](RowRef a, RowRef b) {
+        return compare(a, b) < 0;
+      });
+    }
+  }
+
+  size_t begin = 0, end = rows.size();
+  if (!stmt.distinct) {
+    if (stmt.offset && *stmt.offset > 0) {
+      begin = std::min(end, static_cast<size_t>(*stmt.offset));
+    }
+    if (stmt.limit && *stmt.limit >= 0) {
+      end = std::min(end, begin + static_cast<size_t>(*stmt.limit));
+    }
+  }
+  ResultSet out;
+  out.columns = std::move(names);
+  out.rows.reserve(end - begin);
+  for (size_t k = begin; k < end; ++k) {
+    const RowRef ref = rows[k];
+    Row row;
+    row.reserve(items.size());
+    for (const VectorRef& v : vecs[ref.chunk].items) {
+      if (v.is_literal()) {
+        row.push_back(v.literal());
+      } else {
+        v.vec().BoxInto(ref.row, row);
+      }
+    }
+    out.rows.push_back(std::move(row));
+  }
+  if (stmt.distinct) {
+    DedupeRows(out.rows);
+    ApplyOffsetLimit(stmt, out.rows);
+  }
+  return out;
 }
 
 }  // namespace
@@ -686,44 +748,28 @@ Result<ResultSet> ExecuteSelect(const sql::SelectStmt& stmt,
   if (stmt.from.empty()) return InvalidArgument("SELECT requires FROM");
   GRIDDB_RETURN_IF_ERROR(CheckDuplicateTables(stmt));
 
-  TableLender lender(source);
-
-  // Plain single-table scans skip columnarization entirely.
-  if (IsPlainScanShape(stmt)) {
-    GRIDDB_ASSIGN_OR_RETURN(TableView view, lender.Borrow(stmt.from[0].table));
-    GRIDDB_ASSIGN_OR_RETURN(std::optional<ResultSet> fast,
-                            TryFastScan(stmt, view, opts));
-    if (fast) {
-      Metrics().vectorized_queries->Add(1);
-      return std::move(*fast);
-    }
-  }
-
-  // FROM list: first table seeds the working set, remaining cross-join in.
+  // FROM list: the first table seeds the working set with its lent
+  // chunks (kept alive by `first` for the whole call), the rest join in.
+  GRIDDB_ASSIGN_OR_RETURN(TableView first,
+                          source.GetTable(stmt.from[0].table));
   VecWorkingSet ws;
-  {
-    GRIDDB_ASSIGN_OR_RETURN(TableView view, lender.Borrow(stmt.from[0].table));
-    ws.scope.AddColumns(stmt.from[0].EffectiveName(), view.columns);
-    GRIDDB_RETURN_IF_ERROR(Columnarize(*view.rows, view.columns.size(),
-                                       opts.batch_rows, opts.cancel,
-                                       ws.chunks));
-    ws.total_rows = view.rows->size();
-    ws.TrackPeak();
-  }
+  ws.scope.AddColumns(stmt.from[0].EffectiveName(), first.columns);
+  ws.lent = &first.data->chunks;
+  ws.total_rows = first.data->rows;
+  ws.TrackPeak();
   for (size_t i = 1; i < stmt.from.size(); ++i) {
-    GRIDDB_ASSIGN_OR_RETURN(TableView view, lender.Borrow(stmt.from[i].table));
+    GRIDDB_ASSIGN_OR_RETURN(TableView view,
+                            source.GetTable(stmt.from[i].table));
     GRIDDB_RETURN_IF_ERROR(JoinIntoVec(ws, stmt.from[i].EffectiveName(), view,
                                        sql::JoinType::kCross, nullptr, opts));
   }
   for (const sql::Join& join : stmt.joins) {
-    GRIDDB_ASSIGN_OR_RETURN(TableView view, lender.Borrow(join.table.table));
+    GRIDDB_ASSIGN_OR_RETURN(TableView view, source.GetTable(join.table.table));
     GRIDDB_RETURN_IF_ERROR(JoinIntoVec(ws, join.table.EffectiveName(), view,
                                        join.type, join.on.get(), opts));
   }
 
-  if (stmt.where) {
-    GRIDDB_RETURN_IF_ERROR(FilterVec(ws, *stmt.where, opts));
-  }
+  if (stmt.where) GRIDDB_RETURN_IF_ERROR(FilterVec(ws, stmt, opts));
 
   std::vector<sql::SelectItem> items;
   std::vector<std::string> names;
@@ -741,140 +787,109 @@ Result<ResultSet> ExecuteSelect(const sql::SelectStmt& stmt,
     top_k = k;
   }
 
-  ResultSet out;
-  out.columns = names;
-  std::vector<std::vector<Value>> order_keys;
-
-  if (has_aggregate) {
-    GroupedRows groups;
-    GRIDDB_RETURN_IF_ERROR(BuildGroups(ws, stmt, opts, groups));
-
-    // HAVING filters whole groups before any projection work, so select
-    // items are never evaluated over a dropped group's rows (the
-    // row oracle never evaluates them there either).
-    std::vector<RowBatch>* chunks = &ws.chunks;
-    std::vector<GroupMembers>* members = &groups.members;
-    std::vector<RowBatch> surviving_chunks;
-    std::vector<GroupMembers> surviving_members;
-    if (stmt.having) {
-      GRIDDB_ASSIGN_OR_RETURN(
-          std::vector<Value> keep_vals,
-          EvalGroupedVec(*stmt.having, ws.scope, ws.chunks, groups.members));
-      std::vector<size_t> survivors;
-      survivors.reserve(keep_vals.size());
-      for (size_t g = 0; g < keep_vals.size(); ++g) {
-        if (keep_vals[g].is_null()) continue;
-        GRIDDB_ASSIGN_OR_RETURN(bool b, keep_vals[g].AsBool());
-        if (b) survivors.push_back(g);
-      }
-      if (survivors.size() != groups.members.size()) {
-        GatherSurvivors(ws.chunks, groups.members, survivors,
-                        surviving_chunks, surviving_members);
-        chunks = &surviving_chunks;
-        members = &surviving_members;
-      }
-    }
-
-    size_t ngroups = members->size();
-    std::vector<std::vector<Value>> item_vals;  // per item, per group
-    item_vals.reserve(items.size());
-    for (const sql::SelectItem& item : items) {
-      GRIDDB_RETURN_IF_ERROR(CheckCancel(opts.cancel));
-      GRIDDB_ASSIGN_OR_RETURN(
-          std::vector<Value> vals,
-          EvalGroupedVec(*item.expr, ws.scope, *chunks, *members));
-      item_vals.push_back(std::move(vals));
-    }
-
-    std::vector<std::vector<Value>> key_vals;  // per order item, per group
-    if (has_order && ngroups > 0) {
-      key_vals.reserve(stmt.order_by.size());
-      for (const sql::OrderItem& oi : stmt.order_by) {
-        if (oi.expr->kind == sql::Expr::Kind::kLiteral &&
-            oi.expr->literal.type() == storage::DataType::kInt64) {
-          int64_t pos = oi.expr->literal.AsInt64Strict();
-          if (pos < 1 || pos > static_cast<int64_t>(items.size())) {
-            return InvalidArgument("ORDER BY position out of range");
-          }
-          key_vals.push_back(item_vals[static_cast<size_t>(pos - 1)]);
-          continue;
-        }
-        if (oi.expr->kind == sql::Expr::Kind::kColumn &&
-            oi.expr->column_ref.table.empty()) {
-          bool found = false;
-          for (size_t i = 0; i < names.size(); ++i) {
-            if (EqualsIgnoreCase(names[i], oi.expr->column_ref.column)) {
-              key_vals.push_back(item_vals[i]);
-              found = true;
-              break;
-            }
-          }
-          if (found) continue;
-        }
-        GRIDDB_ASSIGN_OR_RETURN(
-            std::vector<Value> vals,
-            EvalGroupedVec(*oi.expr, ws.scope, *chunks, *members));
-        key_vals.push_back(std::move(vals));
-      }
-    }
-
-    out.rows.reserve(ngroups);
-    if (has_order) order_keys.reserve(ngroups);
-    for (size_t g = 0; g < ngroups; ++g) {
-      Row projected;
-      projected.reserve(items.size());
-      for (std::vector<Value>& vals : item_vals) {
-        projected.push_back(std::move(vals[g]));
-      }
-      if (has_order) {
-        std::vector<Value> keys;
-        keys.reserve(stmt.order_by.size());
-        for (const std::vector<Value>& vals : key_vals) {
-          keys.push_back(vals[g]);
-        }
-        order_keys.push_back(std::move(keys));
-      }
-      out.rows.push_back(std::move(projected));
-    }
-  } else {
+  if (!has_aggregate) {
     if (stmt.having) {
       return InvalidArgument("HAVING requires GROUP BY or aggregates");
     }
-    out.rows.reserve(ws.total_rows);
-    if (has_order) order_keys.reserve(ws.total_rows);
-    for (const RowBatch& chunk : ws.chunks) {
-      GRIDDB_RETURN_IF_ERROR(CheckCancel(opts.cancel));
-      std::vector<VectorRef> projected;
-      projected.reserve(items.size());
-      for (const sql::SelectItem& item : items) {
-        GRIDDB_ASSIGN_OR_RETURN(VectorRef v,
-                                EvalVector(*item.expr, ws.scope, chunk));
-        projected.push_back(std::move(v));
-      }
-      std::vector<VectorRef> scratch;
-      scratch.reserve(stmt.order_by.size());
-      std::vector<const VectorRef*> key_refs;
-      if (has_order) {
-        GRIDDB_ASSIGN_OR_RETURN(
-            key_refs,
-            OrderKeyRefs(stmt, names, projected, scratch,
-                         [&](const sql::Expr& e) {
-                           return EvalVector(e, ws.scope, chunk);
-                         }));
-      }
-      for (size_t i = 0; i < chunk.rows; ++i) {
-        Row row;
-        row.reserve(items.size());
-        for (const VectorRef& ref : projected) row.push_back(ref.At(i));
-        if (has_order) {
-          std::vector<Value> keys;
-          keys.reserve(key_refs.size());
-          for (const VectorRef* ref : key_refs) keys.push_back(ref->At(i));
-          order_keys.push_back(std::move(keys));
-        }
-        out.rows.push_back(std::move(row));
-      }
+    GRIDDB_ASSIGN_OR_RETURN(
+        ResultSet out, ProjectRows(stmt, ws, items, std::move(names), top_k,
+                                   opts));
+    Metrics().vectorized_queries->Add(1);
+    return out;
+  }
+
+  ResultSet out;
+  out.columns = names;
+  std::vector<std::vector<Value>> order_keys;
+  GroupedRows groups;
+  GRIDDB_RETURN_IF_ERROR(BuildGroups(ws, stmt, opts, groups));
+
+  // HAVING filters whole groups before any projection work, so select
+  // items are never evaluated over a dropped group's rows (the
+  // row oracle never evaluates them there either).
+  const std::vector<RowBatch>* chunks = &ws.chunks();
+  std::vector<GroupMembers>* members = &groups.members;
+  std::vector<RowBatch> surviving_chunks;
+  std::vector<GroupMembers> surviving_members;
+  if (stmt.having) {
+    GRIDDB_ASSIGN_OR_RETURN(
+        std::vector<Value> keep_vals,
+        EvalGroupedVec(*stmt.having, ws.scope, ws.chunks(), groups.members));
+    std::vector<size_t> survivors;
+    survivors.reserve(keep_vals.size());
+    for (size_t g = 0; g < keep_vals.size(); ++g) {
+      if (keep_vals[g].is_null()) continue;
+      GRIDDB_ASSIGN_OR_RETURN(bool b, keep_vals[g].AsBool());
+      if (b) survivors.push_back(g);
     }
+    if (survivors.size() != groups.members.size()) {
+      GatherSurvivors(ws.chunks(), groups.members, survivors,
+                      surviving_chunks, surviving_members);
+      chunks = &surviving_chunks;
+      members = &surviving_members;
+    }
+  }
+
+  size_t ngroups = members->size();
+  std::vector<std::vector<Value>> item_vals;  // per item, per group
+  item_vals.reserve(items.size());
+  for (const sql::SelectItem& item : items) {
+    GRIDDB_RETURN_IF_ERROR(CheckCancel(opts.cancel));
+    GRIDDB_ASSIGN_OR_RETURN(
+        std::vector<Value> vals,
+        EvalGroupedVec(*item.expr, ws.scope, *chunks, *members));
+    item_vals.push_back(std::move(vals));
+  }
+
+  std::vector<std::vector<Value>> key_vals;  // per order item, per group
+  if (has_order && ngroups > 0) {
+    key_vals.reserve(stmt.order_by.size());
+    for (const sql::OrderItem& oi : stmt.order_by) {
+      if (oi.expr->kind == sql::Expr::Kind::kLiteral &&
+          oi.expr->literal.type() == storage::DataType::kInt64) {
+        int64_t pos = oi.expr->literal.AsInt64Strict();
+        if (pos < 1 || pos > static_cast<int64_t>(items.size())) {
+          return InvalidArgument("ORDER BY position out of range");
+        }
+        key_vals.push_back(item_vals[static_cast<size_t>(pos - 1)]);
+        continue;
+      }
+      if (oi.expr->kind == sql::Expr::Kind::kColumn &&
+          oi.expr->column_ref.table.empty()) {
+        bool found = false;
+        for (size_t i = 0; i < names.size(); ++i) {
+          if (EqualsIgnoreCase(names[i], oi.expr->column_ref.column)) {
+            key_vals.push_back(item_vals[i]);
+            found = true;
+            break;
+          }
+        }
+        if (found) continue;
+      }
+      GRIDDB_ASSIGN_OR_RETURN(
+          std::vector<Value> vals,
+          EvalGroupedVec(*oi.expr, ws.scope, *chunks, *members));
+      key_vals.push_back(std::move(vals));
+    }
+  }
+
+  out.rows.reserve(ngroups);
+  if (has_order) order_keys.reserve(ngroups);
+  for (size_t g = 0; g < ngroups; ++g) {
+    Row projected;
+    projected.reserve(items.size());
+    for (std::vector<Value>& vals : item_vals) {
+      projected.push_back(std::move(vals[g]));
+    }
+    if (has_order) {
+      std::vector<Value> keys;
+      keys.reserve(stmt.order_by.size());
+      for (const std::vector<Value>& vals : key_vals) {
+        keys.push_back(vals[g]);
+      }
+      order_keys.push_back(std::move(keys));
+    }
+    out.rows.push_back(std::move(projected));
   }
 
   if (has_order) {

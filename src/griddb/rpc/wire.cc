@@ -6,7 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "griddb/engine/column_vector.h"
+#include "griddb/storage/column_vector.h"
 #include "griddb/obs/metrics.h"
 #include "griddb/util/limits.h"
 
@@ -666,22 +666,23 @@ Status EncodeRowsColumnar(const storage::ResultSet& rs, size_t start,
                                 " columns");
     }
   }
-  engine::RowBatch batch;
+  storage::RowBatch batch;
   batch.cols.resize(rs.columns.size());
-  GRIDDB_RETURN_IF_ERROR(engine::AppendRowsToBatch(rs.rows, start, len, batch));
+  GRIDDB_RETURN_IF_ERROR(
+      storage::AppendRowsToBatch(rs.rows, start, len, batch));
   AppendVarint(len, out);
-  for (const engine::ColumnVector& col : batch.cols) {
+  for (const storage::ColumnVector& col : batch.cols) {
     const size_t n = col.size();
-    if (col.rep() == engine::ColumnVector::Rep::kNone) {
+    if (col.rep() == storage::ColumnVector::Rep::kNone) {
       out->push_back(static_cast<char>(kColAllNull));
       continue;
     }
     uint8_t rep = kColMixed;
     switch (col.rep()) {
-      case engine::ColumnVector::Rep::kInt64: rep = kColInt64; break;
-      case engine::ColumnVector::Rep::kDouble: rep = kColDouble; break;
-      case engine::ColumnVector::Rep::kBool: rep = kColBool; break;
-      case engine::ColumnVector::Rep::kString: rep = kColString; break;
+      case storage::ColumnVector::Rep::kInt64: rep = kColInt64; break;
+      case storage::ColumnVector::Rep::kDouble: rep = kColDouble; break;
+      case storage::ColumnVector::Rep::kBool: rep = kColBool; break;
+      case storage::ColumnVector::Rep::kString: rep = kColString; break;
       default: rep = kColMixed; break;
     }
     out->push_back(static_cast<char>(rep));
@@ -783,7 +784,7 @@ Status DecodeRowsColumnar(std::string_view in, size_t* offset, size_t num_cols,
   if (nrows > 0 && num_cols == 0) {
     return Corruption("columnar block with rows but no columns");
   }
-  engine::RowBatch batch;
+  storage::RowBatch batch;
   batch.cols.resize(num_cols);
   batch.rows = nrows;
   const size_t n = nrows;
@@ -795,7 +796,7 @@ Status DecodeRowsColumnar(std::string_view in, size_t* offset, size_t num_cols,
   std::vector<size_t> all_null_cols;
   bool rows_byte_anchored = false;
   for (size_t c = 0; c < num_cols; ++c) {
-    engine::ColumnVector& col = batch.cols[c];
+    storage::ColumnVector& col = batch.cols[c];
     if (*offset >= in.size()) return Corruption("truncated column block");
     uint8_t rep = static_cast<uint8_t>(in[(*offset)++]);
     if (rep == kColAllNull) {
@@ -923,12 +924,12 @@ Status DecodeRowsColumnar(std::string_view in, size_t* offset, size_t num_cols,
       return Corruption("implausible all-null columnar block");
     }
     for (size_t c : all_null_cols) {
-      engine::ColumnVector& col = batch.cols[c];
+      storage::ColumnVector& col = batch.cols[c];
       col.Reserve(n);
       for (size_t r = 0; r < n; ++r) col.AppendNull();
     }
   }
-  engine::MaterializeRows(batch, *out);
+  storage::MaterializeRows(batch, *out);
   return Status::Ok();
 }
 

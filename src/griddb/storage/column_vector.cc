@@ -1,10 +1,8 @@
-#include "griddb/engine/column_vector.h"
+#include "griddb/storage/column_vector.h"
 
-namespace griddb::engine {
+#include <algorithm>
 
-using storage::DataType;
-using storage::Row;
-using storage::Value;
+namespace griddb::storage {
 
 Value ColumnVector::Get(size_t i) const {
   if (IsNull(i)) return Value::Null();
@@ -35,6 +33,11 @@ void ColumnVector::SetNullBit(size_t i) {
   if (nulls_.size() <= word) nulls_.resize(word + 1, 0);
   nulls_[word] |= uint64_t{1} << (i & 63);
   ++null_count_;
+}
+
+void ColumnVector::ClearNullBit(size_t i) {
+  nulls_[i >> 6] &= ~(uint64_t{1} << (i & 63));
+  --null_count_;
 }
 
 void ColumnVector::Decide(Rep r) {
@@ -117,29 +120,39 @@ void ColumnVector::AppendString(std::string v) {
 }
 
 void ColumnVector::Append(const Value& v) {
+  // One dispatch on the cell's type; a matching payload takes the cell
+  // directly (the load path of every stored table).
   switch (v.type()) {
     case DataType::kNull: AppendNull(); return;
     case DataType::kInt64:
-      if (rep_ == Rep::kNone || rep_ == Rep::kInt64) {
-        AppendInt64(v.AsInt64Strict());
+      if (rep_ == Rep::kNone) Decide(Rep::kInt64);
+      if (rep_ == Rep::kInt64) {
+        i64_.push_back(v.AsInt64Strict());
+        ++size_;
         return;
       }
       break;
     case DataType::kDouble:
-      if (rep_ == Rep::kNone || rep_ == Rep::kDouble) {
-        AppendDouble(v.AsDoubleStrict());
+      if (rep_ == Rep::kNone) Decide(Rep::kDouble);
+      if (rep_ == Rep::kDouble) {
+        f64_.push_back(v.AsDoubleStrict());
+        ++size_;
         return;
       }
       break;
     case DataType::kBool:
-      if (rep_ == Rep::kNone || rep_ == Rep::kBool) {
-        AppendBool(v.AsBoolStrict());
+      if (rep_ == Rep::kNone) Decide(Rep::kBool);
+      if (rep_ == Rep::kBool) {
+        b8_.push_back(v.AsBoolStrict() ? 1 : 0);
+        ++size_;
         return;
       }
       break;
     case DataType::kString:
-      if (rep_ == Rep::kNone || rep_ == Rep::kString) {
-        AppendString(v.AsStringStrict());
+      if (rep_ == Rep::kNone) Decide(Rep::kString);
+      if (rep_ == Rep::kString) {
+        str_.push_back(v.AsStringStrict());
+        ++size_;
         return;
       }
       break;
@@ -162,6 +175,55 @@ void ColumnVector::Append(Value&& v) {
     return;
   }
   Append(static_cast<const Value&>(v));
+}
+
+void ColumnVector::AppendCell(const ColumnVector& src, size_t i) {
+  if (src.IsNull(i)) {
+    AppendNull();
+    return;
+  }
+  if (rep_ == Rep::kNone && size_ == 0 && src.rep_ != Rep::kValue) {
+    Decide(src.rep_);
+  }
+  if (rep_ != src.rep_) {
+    Append(src.Get(i));
+    return;
+  }
+  switch (rep_) {
+    case Rep::kInt64: i64_.push_back(src.i64_[i]); break;
+    case Rep::kDouble: f64_.push_back(src.f64_[i]); break;
+    case Rep::kBool: b8_.push_back(src.b8_[i]); break;
+    case Rep::kString: str_.push_back(src.str_[i]); break;
+    case Rep::kValue: boxed_.push_back(src.boxed_[i]); break;
+    case Rep::kNone: return;  // unreachable: src holds a non-null cell
+  }
+  ++size_;
+}
+
+void ColumnVector::Set(size_t i, const Value& v) {
+  if (v.is_null()) {
+    if (!IsNull(i)) SetNullBit(i);
+    return;
+  }
+  if (IsNull(i)) ClearNullBit(i);
+  Rep want = Rep::kValue;
+  switch (v.type()) {
+    case DataType::kInt64: want = Rep::kInt64; break;
+    case DataType::kDouble: want = Rep::kDouble; break;
+    case DataType::kBool: want = Rep::kBool; break;
+    case DataType::kString: want = Rep::kString; break;
+    case DataType::kNull: break;
+  }
+  if (rep_ == Rep::kNone) Decide(want);
+  if (rep_ != want && rep_ != Rep::kValue) BoxAll();
+  switch (rep_) {
+    case Rep::kInt64: i64_[i] = v.AsInt64Strict(); break;
+    case Rep::kDouble: f64_[i] = v.AsDoubleStrict(); break;
+    case Rep::kBool: b8_[i] = v.AsBoolStrict() ? 1 : 0; break;
+    case Rep::kString: str_[i] = v.AsStringStrict(); break;
+    case Rep::kValue: boxed_[i] = v; break;
+    case Rep::kNone: break;
+  }
 }
 
 void ColumnVector::AppendSlice(const ColumnVector& src, size_t start,
@@ -285,7 +347,7 @@ void MaterializeRows(const RowBatch& batch, std::vector<Row>& out) {
   for (size_t r = 0; r < batch.rows; ++r) {
     Row row;
     row.reserve(batch.cols.size());
-    for (const ColumnVector& col : batch.cols) row.push_back(col.Get(r));
+    for (const ColumnVector& col : batch.cols) col.BoxInto(r, row);
     out.push_back(std::move(row));
   }
 }
@@ -300,4 +362,63 @@ RowBatch GatherBatch(const RowBatch& src, const uint32_t* idx, size_t n) {
   return out;
 }
 
-}  // namespace griddb::engine
+void ChunkedRows::AppendRow(Row&& row) {
+  if (chunks.empty() || chunks.back().rows == kChunkRows) {
+    chunks.emplace_back();
+    chunks.back().cols.resize(row.size());
+  }
+  RowBatch& chunk = chunks.back();
+  for (size_t c = 0; c < row.size(); ++c) {
+    chunk.cols[c].Append(std::move(row[c]));
+  }
+  ++chunk.rows;
+  ++rows;
+}
+
+void ChunkedRows::AppendSlice(const RowBatch& src, size_t start, size_t len) {
+  while (len > 0) {
+    if (chunks.empty() || chunks.back().rows == kChunkRows) {
+      chunks.emplace_back();
+      chunks.back().cols.resize(src.cols.size());
+    }
+    RowBatch& chunk = chunks.back();
+    size_t take = std::min(len, kChunkRows - chunk.rows);
+    for (size_t c = 0; c < src.cols.size(); ++c) {
+      chunk.cols[c].AppendSlice(src.cols[c], start, take);
+    }
+    chunk.rows += take;
+    rows += take;
+    start += take;
+    len -= take;
+  }
+}
+
+Row ChunkedRows::GetRow(size_t r) const {
+  const RowBatch& chunk = chunks[r / kChunkRows];
+  Row row;
+  row.reserve(chunk.cols.size());
+  for (const ColumnVector& col : chunk.cols) col.BoxInto(r % kChunkRows, row);
+  return row;
+}
+
+void ChunkedRows::SetRow(size_t r, const Row& row) {
+  RowBatch& chunk = chunks[r / kChunkRows];
+  for (size_t c = 0; c < row.size(); ++c) {
+    chunk.cols[c].Set(r % kChunkRows, row[c]);
+  }
+}
+
+Result<ChunkedRows> ChunkRows(std::vector<Row> rows, size_t width) {
+  ChunkedRows out;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    if (rows[r].size() != width) {
+      return Internal("row " + std::to_string(r) + " has " +
+                      std::to_string(rows[r].size()) + " cells for " +
+                      std::to_string(width) + " columns");
+    }
+    out.AppendRow(std::move(rows[r]));
+  }
+  return out;
+}
+
+}  // namespace griddb::storage

@@ -8,6 +8,8 @@
 // XOR, duplicate-sensitive — a row inserted twice changes the digest.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -36,6 +38,17 @@ struct TableDigest {
 /// tabs. Shared by the digest and the chunked stage format so a staged
 /// chunk's digest is comparable end to end.
 std::string CanonicalRowEncoding(const Row& row);
+
+/// Accumulates a digest row by row, in any order.
+class RowDigest {
+ public:
+  void Add(const Row& row);
+  TableDigest Finish() const;
+
+ private:
+  std::array<uint8_t, 16> sum_{};
+  size_t rows_ = 0;
+};
 
 /// Digest of a multiset of rows (order-insensitive).
 TableDigest DigestRows(const std::vector<Row>& rows);

@@ -18,17 +18,6 @@ const char* DataTypeName(DataType type) noexcept {
   return "?";
 }
 
-DataType Value::type() const noexcept {
-  switch (data_.index()) {
-    case 0: return DataType::kNull;
-    case 1: return DataType::kInt64;
-    case 2: return DataType::kDouble;
-    case 3: return DataType::kString;
-    case 4: return DataType::kBool;
-  }
-  return DataType::kNull;
-}
-
 Result<double> Value::AsDouble() const {
   switch (type()) {
     case DataType::kInt64: return static_cast<double>(AsInt64Strict());

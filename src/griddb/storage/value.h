@@ -37,7 +37,15 @@ class Value {
 
   static Value Null() { return Value(); }
 
-  DataType type() const noexcept;
+  DataType type() const noexcept {
+    switch (data_.index()) {
+      case 1: return DataType::kInt64;
+      case 2: return DataType::kDouble;
+      case 3: return DataType::kString;
+      case 4: return DataType::kBool;
+      default: return DataType::kNull;
+    }
+  }
   bool is_null() const noexcept {
     return std::holds_alternative<std::monostate>(data_);
   }

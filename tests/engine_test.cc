@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 
 #include "griddb/engine/database.h"
@@ -242,6 +243,64 @@ TEST(EngineTest, DeleteAffectsMatchingRows) {
   ASSERT_TRUE(db.Execute("DELETE FROM events WHERE energy < 10", &stats).ok());
   EXPECT_EQ(stats.rows_affected, 2u);
   EXPECT_EQ(db.RowCount("events"), 4u);
+}
+
+TEST(EngineTest, UpdateOfManyRowsIsLinearAndKeepsKeysUnique) {
+  // An UPDATE that leaves the key alone must not re-index the table per
+  // row: 8,000 rows finish well inside a second, sanitizers included.
+  Database db("bulk", sql::Vendor::kMySql);
+  ASSERT_TRUE(db.Execute("CREATE TABLE nt (event_id INT PRIMARY KEY, "
+                         "nhits INT, pt DOUBLE)")
+                  .ok());
+  constexpr int64_t kRows = 8000;
+  std::vector<storage::Row> rows;
+  rows.reserve(kRows);
+  for (int64_t i = 0; i < kRows; ++i) {
+    rows.push_back(
+        {Value(i), Value(i % 40), Value(0.5 * static_cast<double>(i))});
+  }
+  ASSERT_TRUE(db.InsertRows("nt", std::move(rows)).ok());
+
+  ExecStats stats;
+  auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(db.Execute("UPDATE nt SET nhits = nhits + 1", &stats).ok());
+  double seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - start)
+                       .count();
+  EXPECT_EQ(stats.rows_affected, static_cast<size_t>(kRows));
+  EXPECT_LT(seconds, 1.0);
+
+  auto sum = db.Execute("SELECT COUNT(*), SUM(nhits), MIN(nhits), MAX(nhits) "
+                        "FROM nt");
+  ASSERT_TRUE(sum.ok()) << sum.status().ToString();
+  EXPECT_EQ(sum->rows[0][0].AsInt64Strict(), kRows);
+  // Before: 200 full cycles of 0..39 sum to 200 * 780; each row gained 1.
+  EXPECT_EQ(sum->rows[0][1].AsInt64Strict(), 200 * 780 + kRows);
+  EXPECT_EQ(sum->rows[0][2].AsInt64Strict(), 1);
+  EXPECT_EQ(sum->rows[0][3].AsInt64Strict(), 40);
+  auto row = db.Execute("SELECT nhits, pt FROM nt WHERE event_id = 4242");
+  ASSERT_TRUE(row.ok());
+  ASSERT_EQ(row->rows.size(), 1u);
+  EXPECT_EQ(row->rows[0][0].AsInt64Strict(), 4242 % 40 + 1);
+  EXPECT_DOUBLE_EQ(row->rows[0][1].AsDoubleStrict(), 2121.0);
+
+  // The key index survived: duplicates still fail, a key moved by an
+  // UPDATE frees its old value and claims its new one.
+  EXPECT_EQ(db.Execute("INSERT INTO nt VALUES (7, 1, 1.0)").status().code(),
+            StatusCode::kAlreadyExists);
+  ASSERT_TRUE(
+      db.Execute("UPDATE nt SET event_id = 9000 WHERE event_id = 7").ok());
+  EXPECT_TRUE(db.Execute("INSERT INTO nt VALUES (7, 1, 1.0)").ok());
+  EXPECT_EQ(db.Execute("INSERT INTO nt VALUES (9000, 1, 1.0)").status().code(),
+            StatusCode::kAlreadyExists);
+  // A key-changing UPDATE onto a taken key fails and changes nothing.
+  EXPECT_EQ(db.Execute("UPDATE nt SET event_id = 8 WHERE event_id = 9")
+                .status()
+                .code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(db.Execute("SELECT event_id FROM nt WHERE event_id = 9")
+                ->rows.size(),
+            1u);
 }
 
 TEST(EngineTest, ViewsExecuteTheirDefinition) {

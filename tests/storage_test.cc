@@ -134,7 +134,7 @@ TEST(TableTest, InsertAndScan) {
   ASSERT_TRUE(table.Insert({Value(int64_t{1}), Value(10.5), Value("muon")}).ok());
   ASSERT_TRUE(table.Insert({Value(int64_t{2}), Value(11.5), Value("e")}).ok());
   EXPECT_EQ(table.num_rows(), 2u);
-  EXPECT_DOUBLE_EQ(table.rows()[0][1].AsDoubleStrict(), 10.5);
+  EXPECT_DOUBLE_EQ(table.GetRow(0)[1].AsDoubleStrict(), 10.5);
 }
 
 TEST(TableTest, RejectsDuplicatePrimaryKey) {
@@ -145,25 +145,63 @@ TEST(TableTest, RejectsDuplicatePrimaryKey) {
   EXPECT_EQ(table.num_rows(), 1u);
 }
 
-TEST(TableTest, SecondaryIndexLookup) {
-  Table table(EventSchema());
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(table
-                    .Insert({Value(int64_t{i}), Value(i * 0.5),
-                             Value(i % 2 == 0 ? "even" : "odd")})
-                    .ok());
-  }
-  ASSERT_TRUE(table.CreateIndex("tag").ok());
-  EXPECT_TRUE(table.HasIndexOn("tag"));
-  EXPECT_EQ(table.Lookup("tag", Value("even")).size(), 50u);
-  // Lookup result matches a scan-based lookup on an unindexed column.
-  EXPECT_EQ(table.Lookup("event_id", Value(int64_t{7})),
-            std::vector<size_t>{7});
+TEST(TableTest, CompositeKeysCompareByCellNotByText) {
+  // A key built by joining rendered cells with a separator would make
+  // these two distinct keys collide.
+  Table table(TableSchema("pairs", {{"a", DataType::kString, true, true},
+                                    {"b", DataType::kString, true, true}}));
+  ASSERT_TRUE(table.Insert({Value("x\x1f"), Value("y")}).ok());
+  EXPECT_TRUE(table.Insert({Value("x"), Value("\x1fy")}).ok());
+  EXPECT_EQ(table.Insert({Value("x"), Value("\x1fy")}).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(table.num_rows(), 2u);
 }
 
-TEST(TableTest, IndexOnMissingColumnFails) {
+TEST(TableTest, KeyIndexTracksMovedAndDeletedKeys) {
+  // Enough keys that probe runs in the index collide and entries shift
+  // when a key moves out.
   Table table(EventSchema());
-  EXPECT_EQ(table.CreateIndex("ghost").code(), StatusCode::kNotFound);
+  constexpr int64_t kRows = 3000;
+  for (int64_t i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(table.Insert({Value(i), Value(0.0), Value("t")}).ok());
+  }
+  for (int64_t i = 0; i < kRows; i += 3) {
+    ASSERT_TRUE(
+        table.UpdateRow(i, {Value(i + 10 * kRows), Value(1.0), Value("m")})
+            .ok());
+  }
+  // Exactly the moved-away keys are free again.
+  for (int64_t i = 0; i < kRows; ++i) {
+    Status s = table.Insert({Value(i), Value(2.0), Value("n")});
+    EXPECT_EQ(s.ok(), i % 3 == 0) << i;
+  }
+  EXPECT_EQ(
+      table.UpdateRow(1, {Value(10 * kRows), Value(0.0), Value("x")}).code(),
+      StatusCode::kAlreadyExists);
+
+  // DELETE re-indexes what remains: deleted keys are free, kept ones held.
+  std::vector<size_t> doomed;
+  std::vector<int64_t> deleted, kept;
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    int64_t key = table.GetRow(r)[0].AsInt64Strict();
+    if (r % 2 == 0) {
+      doomed.push_back(r);
+      deleted.push_back(key);
+    } else {
+      kept.push_back(key);
+    }
+  }
+  table.DeleteRows(doomed);
+  EXPECT_EQ(table.num_rows(), kept.size());
+  for (int64_t key : kept) {
+    EXPECT_EQ(table.Insert({Value(key), Value(0.0), Value("k")}).code(),
+              StatusCode::kAlreadyExists)
+        << key;
+  }
+  for (int64_t key : deleted) {
+    EXPECT_TRUE(table.Insert({Value(key), Value(0.0), Value("d")}).ok())
+        << key;
+  }
 }
 
 TEST(TableTest, UpdateRowReindexes) {
