@@ -11,7 +11,8 @@
 # exits non-zero when its bound fails and rewrites its checked-in
 # BENCH_*.json, so git history is the perf trajectory: query cache,
 # overload, tenant isolation, batch service, vectorized executor, wire
-# protocol and XML-RPC codec. On top of that, the fault-injection and
+# protocol and XML-RPC codec; the trace-overhead gate prints its result
+# instead. On top of that, the fault-injection and
 # integrity tests exercise enough pointer-heavy recovery paths (manifest
 # rewrites, quarantine swaps, mid-run aborts), and the codec fuzzers
 # enough untrusted bytes, that they are worth a second run under
@@ -82,6 +83,12 @@ echo "== perf gate: wire protocol bench =="
 # tree-writer encoder (results land in BENCH_wire.json).
 ./build/bench/bench_ext_wan BENCH_wire.json
 
+echo "== perf gate: trace overhead bench =="
+# Spans stay free: tracing the Table 1 mix must cost < 5% median real
+# time, change no virtual-clock cost (the traced forward's extra wire
+# bytes aside), and the metrics fast path must not allocate.
+./build/bench/bench_ext_trace_overhead >/dev/null
+
 echo "== perf gate: XML-RPC codec bench =="
 # The one-pass XML-RPC writer must emit the tree oracle's exact bytes
 # (bench/xmlrpc_tree_oracle.h), both readers must return the original
@@ -140,17 +147,19 @@ done
 
 echo "== tsan: build + run cache + overload + tenant concurrency suites =="
 # federation_property_test runs mixed local/remote plans, whose local
-# sub-queries and remote server tasks share the fan-out pool.
+# sub-queries and remote server tasks share the fan-out pool;
+# trace_propagation_test stamps spans from the ledgers those parallel
+# branches fork.
 cmake -B /tmp/griddb_tsan -S . -DGRIDDB_SANITIZE=thread >/dev/null
 cmake --build /tmp/griddb_tsan -j"$(nproc)" --target \
   query_cache_test concurrency_test overload_test \
   tenant_isolation_test batch_service_test \
   vectorized_parity_test wire_codec_test chaos_test \
-  federation_property_test >/dev/null
+  federation_property_test trace_propagation_test >/dev/null
 for t in query_cache_test concurrency_test overload_test \
          tenant_isolation_test batch_service_test \
          vectorized_parity_test wire_codec_test chaos_test \
-         federation_property_test; do
+         federation_property_test trace_propagation_test; do
   echo "-- $t"
   /tmp/griddb_tsan/tests/"$t" >/dev/null
 done

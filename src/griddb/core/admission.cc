@@ -424,8 +424,8 @@ Result<AdmissionController::Ticket> AdmissionController::Admit(
       // Every grant/shutdown path notifies the CV.
       slot_cv_.wait(lock, [&] { return waiter->granted || shutting_down_; });
     } else {
-      // The timed poll is what notices a cancellation (deadline expiry
-      // advanced by another thread on the virtual clock).
+      // The timed poll is what notices a cancellation (a client abort
+      // latched by another thread).
       while (!waiter->granted && !shutting_down_) {
         live = cancel->Check();
         if (!live.ok()) break;
@@ -481,9 +481,9 @@ Result<AdmissionController::Ticket> AdmissionController::Admit(
   }
 
   // Bounded-queue backpressure: wait for a slot. A cancellable wait polls
-  // in short real-time slices so a cancellation (deadline expiry observed
-  // by another thread advancing the virtual clock) aborts the wait
-  // promptly; without a token the wait just sleeps until notified.
+  // in short real-time slices so a cancellation latched by another thread
+  // aborts the wait promptly; without a token the wait just sleeps until
+  // notified.
   ++queued_;
   QueuedCounter().Add(1);
   QueueDepthGauge().Set(static_cast<double>(queued_));

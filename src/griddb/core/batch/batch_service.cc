@@ -642,8 +642,6 @@ void BatchJobManager::RunJob(uint64_t id) {
     it->second.info.state = BatchJobState::kRunning;
   }
   RunningGauge().Set(RunningCount().fetch_add(1) + 1);
-  obs::Span span = service_->tracer().StartSpan("batch.job");
-  if (span.active()) span.AddAttr("job", std::to_string(id));
 
   // The scan runs outside mu_ (it performs queries); it re-locks for
   // each state mutation. The Job reference is stable: jobs_ is a map and
@@ -653,6 +651,9 @@ void BatchJobManager::RunJob(uint64_t id) {
     std::lock_guard<std::mutex> lock(mu_);
     job = &jobs_.at(id);
   }
+  job->ledger = net::Cost();
+  obs::Span span = service_->tracer().StartSpan("batch.job", &job->ledger);
+  if (span.active()) span.AddAttr("job", std::to_string(id));
   Status result = RunScan(*job);
 
   size_t chunks_done = 0;
@@ -768,8 +769,10 @@ Result<ResultSet> BatchJobManager::RunSubQuery(Job& job,
     ctx.priority = QueryPriority::kBatch;
     ctx.tenant = job.info.tenant;
     ctx.cancel = job.cancel;
+    ctx.start_ms = job.ledger.now_ms();
     QueryStats stats;
     auto rs = service_->Query(sql, &stats, 0, "", std::move(ctx));
+    job.ledger.AddMs(stats.simulated_ms);
     if (rs.ok()) return rs;
     const Status& st = rs.status();
     if (st.code() == StatusCode::kResourceExhausted) {

@@ -206,6 +206,9 @@ class BatchJobManager {
     BatchJobInfo info;
     size_t chunk_rows = 0;         ///< Chunk size journaled at submit.
     CancelToken cancel = CancelToken::Cancellable();
+    /// The queries the current run issued, end to end: the clock their
+    /// spans and the run's batch.job span read.
+    net::Cost ledger;
     /// Checkpoint digests by chunk id (journal truth; stage frames are
     /// verified against these on resume).
     std::map<size_t, std::string> chunk_md5;

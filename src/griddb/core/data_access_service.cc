@@ -25,6 +25,9 @@ using unity::UpperXSpecEntry;
 
 namespace {
 
+/// Worker threads of each service's fan-out pool; tasks beyond them queue.
+constexpr size_t kFanoutThreads = 8;
+
 const sql::Dialect& ClientDialect() {
   return sql::Dialect::For(sql::Vendor::kSqlite);
 }
@@ -312,7 +315,7 @@ DataAccessService::DataAccessService(DataAccessConfig config,
                 return options;
               }()),
       pool_(catalog, transport->network(), transport->costs(), config_.host),
-      workers_(config_.max_threads,
+      workers_(kFanoutThreads,
                [&] {
                  // Overflowing fan-out tasks are rejected, not blocked: the
                  // submitting thread holds an admission slot, and blocking
@@ -351,16 +354,14 @@ DataAccessService::DataAccessService(DataAccessConfig config,
   driver_.SetReplicaFilter([this](const unity::TableBinding& binding) {
     return !IsQuarantined(binding.database_name);
   });
-  // Span ids are deterministic (seed + counter) and span durations come
-  // off the virtual clock, so traces replay identically run to run.
+  // Span ids are deterministic (seed + counter) and span timestamps come
+  // off each query's cost ledger, so traces replay identically run to run.
   tracer_.Reseed(config_.trace_seed != 0
                      ? config_.trace_seed
                      : SeedFromUrl(config_.server_url.empty()
                                        ? config_.server_name + "@" + config_.host
                                        : config_.server_url));
   tracer_.set_enabled(config_.tracing);
-  net::Network* network = transport_->network();
-  tracer_.set_clock([network] { return network->NowMs(); });
   if (!config_.rls_url.empty()) {
     rls_ = std::make_unique<rls::RlsClient>(transport, config_.host,
                                             config_.rls_url);
@@ -700,11 +701,11 @@ std::shared_ptr<const cache::CachedPlan> DataAccessService::PrerenderPlan(
 
 Result<ResultSet> DataAccessService::ExecuteSubQueryRouted(
     const SubQuery& sub, const cache::RenderedSubQuery& render, net::Cost* cost,
-    QueryStats* stats, const CancelToken* cancel) {
+    QueryStats* stats) {
   // The fetch itself is one simulated backend round trip; checking once
   // before it starts is the sub-query-granularity half of cancellation
   // (the merge join re-checks per row batch).
-  if (cancel != nullptr) GRIDDB_RETURN_IF_ERROR(cancel->Check());
+  GRIDDB_RETURN_IF_ERROR(cost->cancel().Check());
   GRIDDB_ASSIGN_OR_RETURN(ral::DatabaseCatalog::Entry entry,
                           catalog_->Find(sub.table.connection));
   if (ral::IsPoolSupported(entry.database->vendor())) {
@@ -759,9 +760,9 @@ Status DataAccessService::CheckPlanEpoch(const unity::QueryPlan& plan) const {
 Result<ResultSet> DataAccessService::Execute(
     const sql::SelectStmt& stmt, const std::string& fingerprint,
     net::Cost* cost, QueryStats* stats, int forward_depth,
-    const std::string& forward_path, const CancelToken* cancel,
-    const std::string& tenant) {
+    const std::string& forward_path, const std::string& tenant) {
   const net::ServiceCosts& costs = transport_->costs();
+  const CancelToken& cancel = cost->cancel();
 
   // ---- plan ----
   const bool use_cache = config_.query_cache && !fingerprint.empty();
@@ -781,7 +782,7 @@ Result<ResultSet> DataAccessService::Execute(
     }
   }
   if (!cached) {
-    obs::Span plan_span = tracer_.StartSpan("unity.plan");
+    obs::Span plan_span = tracer_.StartSpan("unity.plan", cost);
     auto planned = driver_.Plan(stmt);
     if (!planned.ok()) {
       if (plan_span.active()) plan_span.SetError(planned.status().ToString());
@@ -808,7 +809,7 @@ Result<ResultSet> DataAccessService::Execute(
   // running a stale plan.
   GRIDDB_RETURN_IF_ERROR(CheckPlanEpoch(plan));
   // Last pre-execution cancellation point: from here on, work costs money.
-  if (cancel != nullptr) GRIDDB_RETURN_IF_ERROR(cancel->Check());
+  GRIDDB_RETURN_IF_ERROR(cancel.Check());
 
   // ---- the whole statement on one local database ----
   if (plan.single_database) {
@@ -827,14 +828,13 @@ Result<ResultSet> DataAccessService::Execute(
       return rs;
     }
     // JDBC path for unsupported vendors or queries beyond the RAL form.
-    net::Cost jdbc_cost;
+    net::Cost jdbc = cost->Fork();
     Result<ResultSet> rs =
         cached->direct_sql.empty()
-            ? driver_.ExecuteDirect(plan, &jdbc_cost)
-            : driver_.ExecuteDirectRendered(plan, cached->direct_sql,
-                                            &jdbc_cost);
+            ? driver_.ExecuteDirect(plan, &jdbc)
+            : driver_.ExecuteDirectRendered(plan, cached->direct_sql, &jdbc);
     GRIDDB_RETURN_IF_ERROR(rs.status());
-    if (cost) cost->AddSequential(jdbc_cost);
+    cost->AddSequential(jdbc);
     ++stats->jdbc_subqueries;
     return std::move(*rs);
   }
@@ -845,7 +845,8 @@ Result<ResultSet> DataAccessService::Execute(
   // entries can be stale: a server may have died after publishing), the
   // stale ones last — a dead server may come back, and failing over to
   // it beats dropping it silently. Sub-queries are grouped by their
-  // first choice; each lookup is charged to the branch it resolves to.
+  // first choice. The lookups run here, one after another on `locate`;
+  // the cost rule posts each at the head of the branch it resolves to.
   struct Task {
     std::vector<size_t> subs;  ///< Sub-query indexes, in plan order.
     std::string server;        ///< Empty for a local sub-query.
@@ -856,6 +857,7 @@ Result<ResultSet> DataAccessService::Execute(
   std::map<std::string, Task> remote_tasks;  // by first-choice server
   std::set<std::string> local_connections;
   std::vector<Task> tasks;
+  net::Cost locate = cost->Fork();
   for (size_t i = 0; i < n; ++i) {
     const SubQuery& sub = plan.subqueries[i];
     if (sub.location == unity::Location::kLocal) {
@@ -868,27 +870,31 @@ Result<ResultSet> DataAccessService::Execute(
                       "' is not registered locally and no RLS is configured");
     }
     stats->used_rls = true;
-    net::Cost lookup_cost;
-    GRIDDB_ASSIGN_OR_RETURN(
-        std::vector<std::string> urls,
-        rls_->Lookup(sub.table.logical, &lookup_cost, cancel));
+    net::Cost lookup = locate.Fork();
+    Result<std::vector<std::string>> urls =
+        rls_->Lookup(sub.table.logical, &lookup);
+    locate.AddSequential(lookup);
+    if (!urls.ok()) {
+      cost->AddSequential(locate);
+      return urls.status();
+    }
     // Never forward to ourselves (stale RLS entries).
-    urls.erase(std::remove(urls.begin(), urls.end(), config_.server_url),
-               urls.end());
+    urls->erase(std::remove(urls->begin(), urls->end(), config_.server_url),
+                urls->end());
     std::vector<std::string> stale;
-    for (const std::string& url : urls) {
+    for (const std::string& url : *urls) {
       (transport_->Resolve(url).ok() ? candidates[i] : stale).push_back(url);
     }
     candidates[i].insert(candidates[i].end(), stale.begin(), stale.end());
     if (candidates[i].empty()) {
-      if (cost) cost->AddMs(lookup_cost.total_ms());
+      cost->AddSequential(locate);
       return NotFound("table '" + sub.table.logical +
                       "' is not registered with any JClarens server");
     }
     Task& task = remote_tasks[candidates[i].front()];
     task.server = candidates[i].front();
     task.subs.push_back(i);
-    task.lookup_ms += lookup_cost.total_ms();
+    task.lookup_ms += lookup.total_ms();
   }
   stats->servers_contacted = 1 + remote_tasks.size();
   stats->distributed = true;
@@ -896,10 +902,8 @@ Result<ResultSet> DataAccessService::Execute(
   // ---- the whole statement on one remote server ----
   if (plan.direct_stmt && remote_tasks.size() == 1) {
     const Task& task = remote_tasks.begin()->second;
-    if (cost) {
-      cost->AddMs(task.lookup_ms);
-      cost->AddMs(costs.connect_auth_ms);
-    }
+    cost->AddMs(task.lookup_ms);
+    cost->AddMs(costs.connect_auth_ms);
     // A failover target must host every table: intersect the per-table
     // lists, keeping the first table's order (the preferred server is in
     // all of them by construction).
@@ -915,7 +919,7 @@ Result<ResultSet> DataAccessService::Execute(
     }
     return RemoteQueryFailover(targets, plan.subqueries.front().table.logical,
                                cached->direct_sql, cost, stats, forward_depth,
-                               forward_path, cancel, tenant);
+                               forward_path, tenant);
   }
   if (!config_.enhanced_driver) {
     return Unsupported(
@@ -924,12 +928,21 @@ Result<ResultSet> DataAccessService::Execute(
   }
 
   // ---- fan-out: one task per local sub-query, one per remote server ----
+  // The cost rule (DESIGN.md §5): decomposition overhead, then every task
+  // on a ledger forked at the fan-out instant, joined by the slowest. A
+  // remote server's task pays its RLS lookups and one connect/auth; a
+  // local task pays a fresh connect/auth per planned database — the
+  // decomposed path opens fresh connections each time, serialized by the
+  // driver manager — ahead of its fetch. Serial mode runs the local
+  // sub-queries back to back on one ledger (task 0's) that pays those
+  // connects once.
   for (auto& [url, task] : remote_tasks) tasks.push_back(std::move(task));
   stats->databases = local_connections.size();
   std::vector<std::pair<std::string, ResultSet>> partials(n);
   std::vector<Status> status(n, Status::Ok());
-  std::vector<net::Cost> task_costs(tasks.size());
   std::vector<QueryStats> task_stats(tasks.size());
+  cost->AddMs(costs.distribution_overhead_ms);
+  std::vector<net::Cost> ledgers(tasks.size(), cost->Fork());
 
   // A failed sub-query may be replaced by an empty partial when the
   // operator opted in: a cancelled one under partial_on_deadline, any
@@ -966,17 +979,17 @@ Result<ResultSet> DataAccessService::Execute(
       }
       SubqueryCacheMissesCounter().Add(1);
     }
-    net::Cost fetch_cost;
+    net::Cost fetch = branch->Fork();
     Result<ResultSet> rs =
-        ExecuteSubQueryRouted(sub, render, &fetch_cost, branch_stats, cancel);
-    SubqueryMsHistogram().Observe(fetch_cost.total_ms());
-    branch->AddSequential(fetch_cost);
+        ExecuteSubQueryRouted(sub, render, &fetch, branch_stats);
+    SubqueryMsHistogram().Observe(fetch.total_ms());
+    branch->AddSequential(fetch);
     if (rs.ok() && !sub_key.empty()) {
       // A fetch that raced a cancellation may be incomplete upstream;
       // tag it so the cache refuses it (satellite of the same rule that
       // keeps truncated whole-query results out).
       cache::ResultMeta sub_meta;
-      sub_meta.non_cacheable = cancel != nullptr && cancel->cancelled();
+      sub_meta.non_cacheable = cancel.cancelled();
       cache_.InsertResult(sub_key, render.cache_id, plan.epoch,
                           {ToLower(sub.table.logical)},
                           std::make_shared<ResultSet>(*rs), sub_meta);
@@ -989,22 +1002,19 @@ Result<ResultSet> DataAccessService::Execute(
                    QueryStats* branch_stats) -> Status {
     const SubQuery& sub = plan.subqueries[i];
     const cache::RenderedSubQuery& render = cached->subquery_renders[i];
-    // Every branch shares the query's token: the first sibling to observe
-    // a deadline expiry (or client abort) latches it, and the rest fail
+    // Every branch shares the query's token: the first sibling to reach
+    // the deadline (or a client abort) latches it, and the rest fail
     // here before touching their backend.
-    if (cancel != nullptr) {
-      Status live = cancel->Check();
-      if (!live.ok()) {
-        ++branch_stats->cancelled_subqueries;
-        CancelledSubqueriesCounter().Add(1);
-        return live;
-      }
+    if (Status live = cancel.Check(); !live.ok()) {
+      ++branch_stats->cancelled_subqueries;
+      CancelledSubqueriesCounter().Add(1);
+      return live;
     }
     Result<ResultSet> rs =
         sub.location == unity::Location::kRemote
             ? RemoteQueryFailover(candidates[i], sub.table.logical,
                                   render.full_sql, branch, branch_stats,
-                                  forward_depth, forward_path, cancel, tenant)
+                                  forward_depth, forward_path, tenant)
             : fetch_local(sub, render, branch, branch_stats);
     if (!rs.ok()) {
       if (rs.status().code() == StatusCode::kDeadlineExceeded) {
@@ -1026,8 +1036,11 @@ Result<ResultSet> DataAccessService::Execute(
   const obs::SpanContext fanout_parent = tracer_.CurrentContext();
   auto run_task = [&](size_t t) -> bool {
     const Task& task = tasks[t];
-    obs::Span span =
-        tracer_.StartSpanUnder("dataaccess.subquery", fanout_parent);
+    const bool serial_local =
+        task.server.empty() && !config_.parallel_subqueries;
+    net::Cost& ledger = serial_local ? ledgers[0] : ledgers[t];
+    obs::Span span = tracer_.StartSpanUnder("dataaccess.subquery",
+                                            fanout_parent, &ledger);
     if (span.active()) {
       std::vector<std::string> names;
       for (size_t i : task.subs) {
@@ -1037,11 +1050,14 @@ Result<ResultSet> DataAccessService::Execute(
       if (!task.server.empty()) span.AddAttr("server", task.server);
     }
     if (!task.server.empty()) {
-      task_costs[t].AddMs(task.lookup_ms);
-      task_costs[t].AddMs(costs.connect_auth_ms);
+      ledger.AddMs(task.lookup_ms);
+      ledger.AddMs(costs.connect_auth_ms);
+    } else if (!serial_local || t == 0) {
+      ledger.AddMs(costs.connect_auth_ms *
+                   static_cast<double>(local_connections.size()));
     }
     for (size_t i : task.subs) {
-      status[i] = fetch(i, &task_costs[t], &task_stats[t]);
+      status[i] = fetch(i, &ledger, &task_stats[t]);
       if (status[i].ok()) continue;
       if (span.active()) span.SetError(status[i].ToString());
       if (!substitutable(status[i])) return false;
@@ -1078,33 +1094,7 @@ Result<ResultSet> DataAccessService::Execute(
       if (!run_task(t)) break;
     }
   }
-
-  // Distributed cost: decomposition overhead, then the branches in
-  // parallel (they run on different machines). The local branch pays a
-  // fresh connect/auth per planned database — the decomposed path opens
-  // fresh connections each time, serialized by the driver manager — then
-  // its fetches in parallel (summed in serial mode). Each remote branch
-  // pays its RLS lookups, one connect/auth and its forwards in sequence.
-  if (cost) {
-    net::Cost local_branch;
-    local_branch.AddMs(costs.connect_auth_ms *
-                       static_cast<double>(local_connections.size()));
-    std::vector<net::Cost> local_fetches;
-    std::vector<net::Cost> branches;
-    for (size_t t = 0; t < tasks.size(); ++t) {
-      if (!tasks[t].server.empty()) {
-        branches.push_back(task_costs[t]);
-      } else if (config_.parallel_subqueries) {
-        local_fetches.push_back(task_costs[t]);
-      } else {
-        local_branch.AddSequential(task_costs[t]);
-      }
-    }
-    local_branch.AddParallel(local_fetches);
-    if (!local_connections.empty()) branches.push_back(local_branch);
-    cost->AddMs(costs.distribution_overhead_ms);
-    cost->AddParallel(branches);
-  }
+  cost->AddParallel(ledgers);
   for (const QueryStats& branch : task_stats) AddStats(stats, branch);
 
   // ---- resolve failed sub-queries, once ----
@@ -1136,11 +1126,10 @@ Result<ResultSet> DataAccessService::Execute(
   // A budget that ran out while the branches ran fails the query here,
   // whichever branch noticed first; with partial_on_deadline the merge
   // instead finishes, unchecked, over the rows that were fetched.
-  const CancelToken* merge_cancel = cancel;
-  if (cancel != nullptr) {
-    Status live = cancel->Check();
-    if (!live.ok() && !config_.partial_on_deadline) return live;
-    if (!live.ok()) merge_cancel = nullptr;
+  const CancelToken* merge_cancel = cancel.active() ? &cancel : nullptr;
+  if (Status live = cancel.Check(); !live.ok()) {
+    if (!config_.partial_on_deadline) return live;
+    merge_cancel = nullptr;
   }
   // The merge materializes every partial in middleware memory; reserve
   // that footprint against the byte budget so concurrent cross-database
@@ -1154,7 +1143,7 @@ Result<ResultSet> DataAccessService::Execute(
   GRIDDB_ASSIGN_OR_RETURN(AdmissionController::MemoryLease merge_lease,
                           admission_.ReserveMergeMemory(merge_bytes, tenant));
 
-  obs::Span merge_span = tracer_.StartSpan("dataaccess.merge");
+  obs::Span merge_span = tracer_.StartSpan("dataaccess.merge", cost);
   auto merged =
       unity::MergePartials(*plan.merge_stmt, std::move(partials),
                            merge_cancel);
@@ -1162,13 +1151,10 @@ Result<ResultSet> DataAccessService::Execute(
     if (merge_span.active()) merge_span.SetError(merged.status().ToString());
     return merged.status();
   }
+  cost->AddMs(costs.integrate_per_row_ms *
+              static_cast<double>(merged->num_rows()));
   if (merge_span.active()) {
     merge_span.AddAttr("rows", std::to_string(merged->num_rows()));
-  }
-  merge_span.End();
-  if (cost) {
-    cost->AddMs(costs.integrate_per_row_ms *
-                static_cast<double>(merged->num_rows()));
   }
   return std::move(*merged);
 }
@@ -1202,10 +1188,9 @@ rpc::RpcClient* DataAccessService::ClientFor(const std::string& server_url) {
 Result<ResultSet> DataAccessService::RemoteQuery(
     const std::string& server_url, const std::string& sql_text,
     net::Cost* cost, QueryStats* stats, int forward_depth,
-    const std::string& forward_path, const CancelToken* cancel,
-    const std::string& tenant) {
+    const std::string& forward_path, const std::string& tenant) {
   ForwardsCounter().Add(1);
-  obs::Span span = tracer_.StartSpan("dataaccess.forward");
+  obs::Span span = tracer_.StartSpan("dataaccess.forward", cost);
   span.AddAttr("url", server_url);
   rpc::RpcClient* client = ClientFor(server_url);
   rpc::XmlRpcArray params;
@@ -1222,15 +1207,14 @@ Result<ResultSet> DataAccessService::RemoteQuery(
                        transport_->costs().integrate_per_row_ms);
   rpc::wire::StreamSink* sink_ptr =
       (client->wire_preference() & rpc::wire::kCapStream) ? &sink : nullptr;
-  // The client stamps the token's remaining budget onto the request
+  // The client stamps the ledger's remaining budget onto the request
   // (sparse <deadlineMs>) at send time, so the remote server inherits a
   // budget already shrunk by every hop and retry before it.
   // The tenant rides per call (not via set_tenant) because ClientFor
   // shares one cached client per remote URL across all tenants.
   Result<rpc::XmlRpcValue> response =
       client->Call("dataaccess.query", std::move(params), cost,
-                   forward_depth + 1, path, &call_stats, cancel, tenant,
-                   sink_ptr);
+                   forward_depth + 1, path, &call_stats, tenant, sink_ptr);
   if (stats) stats->retries += static_cast<size_t>(call_stats.retries);
   if (call_stats.first_chunk_ms >= 0) {
     StreamFirstChunkMs().Observe(call_stats.first_chunk_ms);
@@ -1241,11 +1225,14 @@ Result<ResultSet> DataAccessService::RemoteQuery(
   GRIDDB_RETURN_IF_ERROR(response.status());
   // Remote child spans ride back in the (sparse) "spans" member; they are
   // already parented under our wire context, so importing stitches them
-  // into this trace.
+  // into this trace. They are stamped on the remote server's ledger,
+  // which started when our request reached it: shifting them to that
+  // instant on ours nests them inside the rpc.call span.
   if (tracer_.enabled()) {
     auto remote_spans = response->Member("spans");
     if (remote_spans.ok()) {
       for (obs::SpanRecord& record : SpansFromRpc(**remote_spans)) {
+        record.start_ms += call_stats.request_sent_ms;
         tracer_.Import(std::move(record));
       }
     }
@@ -1300,7 +1287,7 @@ Result<ResultSet> DataAccessService::RemoteQueryFailover(
     const std::vector<std::string>& candidates, const std::string& table,
     const std::string& sql_text, net::Cost* cost, QueryStats* stats,
     int forward_depth, const std::string& forward_path,
-    const CancelToken* cancel, const std::string& tenant) {
+    const std::string& tenant) {
   // kNotFound is failover-worthy: it usually means a stale RLS row (the
   // replica dropped the table, or never had it) and another replica may
   // still answer. kCorruption likewise — a replica serving corrupt data
@@ -1320,7 +1307,7 @@ Result<ResultSet> DataAccessService::RemoteQueryFailover(
   for (const std::string& url : candidates) {
     // A cancelled query stops walking the replica list: every further
     // attempt would spend wall time the caller already gave up on.
-    if (cancel != nullptr) GRIDDB_RETURN_IF_ERROR(cancel->Check());
+    GRIDDB_RETURN_IF_ERROR(cost->cancel().Check());
     if (!BreakerAllows(url)) {
       if (stats) ++stats->breaker_skips;
       BreakerSkipsCounter().Add(1);
@@ -1331,8 +1318,7 @@ Result<ResultSet> DataAccessService::RemoteQueryFailover(
       FailoversCounter().Add(1);
     }
     Result<ResultSet> rs = RemoteQuery(url, sql_text, cost, stats,
-                                       forward_depth, forward_path, cancel,
-                                       tenant);
+                                       forward_depth, forward_path, tenant);
     if (rs.ok()) {
       RecordPeerOutcome(url, true);
       return rs;
@@ -1371,30 +1357,33 @@ Result<ResultSet> DataAccessService::Query(const std::string& sql_text,
                                            const std::string& forward_path,
                                            QueryContext ctx) {
   QueriesCounter().Add(1);
-  // Entry deadline: the tightest of the budget the caller shipped on the
-  // wire (already in ctx.cancel, minted by the RPC handler) and this
-  // server's own per-query cap.
+  // The query's ledger: the one clock its simulated_ms, its spans and its
+  // deadline read. The deadline is the tighter of the caller's (a
+  // forwarded budget) and this server's own per-query cap.
+  net::Cost cost(ctx.start_ms, std::move(ctx.cancel));
+  cost.SetDeadline(ctx.deadline_ms);
   if (config_.default_deadline_ms > 0) {
-    net::Network* network = transport_->network();
-    if (!ctx.cancel.active()) ctx.cancel = CancelToken::Cancellable();
-    ctx.cancel.TightenBudget([network] { return network->NowMs(); },
-                             config_.default_deadline_ms);
+    cost.SetDeadline(ctx.start_ms + config_.default_deadline_ms);
   }
-  const CancelToken* cancel = ctx.cancel.active() ? &ctx.cancel : nullptr;
+  const CancelToken& cancel = cost.cancel();
   // Admission before any parse or planning work: a shed query costs O(1)
   // and carries a retry_after_ms hint, which is what keeps rejects orders
   // of magnitude cheaper than served queries under overload.
-  Result<AdmissionController::Ticket> ticket =
-      admission_.Admit(ctx.priority, cancel, ctx.tenant);
+  Result<AdmissionController::Ticket> ticket = admission_.Admit(
+      ctx.priority, cancel.active() ? &cancel : nullptr, ctx.tenant);
   if (!ticket.ok()) {
     QueryErrorsCounter().Add(1);
     return ticket.status();
   }
-  obs::Span span = tracer_.StartSpan("dataaccess.query");
+  // Stats are always collected when the cache is on (the result tier
+  // needs response-shape metadata to replay on a hit).
+  QueryStats local_stats;
+  QueryStats* st = stats ? stats : &local_stats;
+  obs::Span span = tracer_.StartSpan("dataaccess.query", &cost);
   span.AddAttr("sql", sql_text);
-  net::Cost cost;
   cost.AddMs(transport_->costs().query_parse_ms);
   auto finish = [&](Result<ResultSet> result) -> Result<ResultSet> {
+    st->simulated_ms = cost.total_ms();
     QueryMsHistogram().Observe(cost.total_ms());
     if (!result.ok()) {
       QueryErrorsCounter().Add(1);
@@ -1423,11 +1412,6 @@ Result<ResultSet> DataAccessService::Query(const std::string& sql_text,
     return result;
   };
 
-  // Stats are always collected when the cache is on (the result tier
-  // needs response-shape metadata to replay on a hit).
-  QueryStats local_stats;
-  QueryStats* st = stats ? stats : &local_stats;
-
   const bool use_cache = config_.query_cache;
   std::string fingerprint;
   std::vector<std::string> ref_tables;
@@ -1442,7 +1426,7 @@ Result<ResultSet> DataAccessService::Query(const std::string& sql_text,
   auto try_result_cache = [&]() -> std::optional<Result<ResultSet>> {
     key_epoch = driver_.dictionary().epoch();
     result_key = cache_.ResultKey(fingerprint, key_epoch, ref_tables);
-    obs::Span cache_span = tracer_.StartSpan("cache.result.lookup");
+    obs::Span cache_span = tracer_.StartSpan("cache.result.lookup", &cost);
     cache::CachedResult hit = cache_.LookupResult(result_key);
     if (cache_span.active()) {
       cache_span.AddAttr("outcome", hit ? "hit" : "miss");
@@ -1458,7 +1442,6 @@ Result<ResultSet> DataAccessService::Query(const std::string& sql_text,
     st->databases = hit.meta.databases;
     st->tables = hit.meta.tables;
     st->rows = hit.result->num_rows();
-    st->simulated_ms = cost.total_ms();
     return Result<ResultSet>(ResultSet(*hit.result));
   };
 
@@ -1483,10 +1466,7 @@ Result<ResultSet> DataAccessService::Query(const std::string& sql_text,
   auto parsed = sql::ParseSelect(sql_text, ClientDialect());
   if (!parsed.ok()) return finish(parsed.status());
   std::unique_ptr<sql::SelectStmt> stmt = std::move(*parsed);
-  if (cancel != nullptr) {
-    Status live = cancel->Check();
-    if (!live.ok()) return finish(live);
-  }
+  if (Status live = cancel.Check(); !live.ok()) return finish(live);
 
   // Plan-time grant enforcement: every referenced table must be covered
   // by the requesting tenant's grants before any result-cache serve, any
@@ -1520,7 +1500,7 @@ Result<ResultSet> DataAccessService::Query(const std::string& sql_text,
   // faster than we can plan is a real failure, not a retry candidate).
   auto execute = [&] {
     return Execute(*stmt, fingerprint, &cost, st, forward_depth,
-                   forward_path, cancel, ctx.tenant);
+                   forward_path, ctx.tenant);
   };
   Result<ResultSet> result = execute();
   for (int replan = 0;
@@ -1529,6 +1509,12 @@ Result<ResultSet> DataAccessService::Query(const std::string& sql_text,
     ++st->replans;
     ReplansCounter().Add(1);
     result = execute();
+  }
+  // A charge that reached the deadline latched the token wherever it
+  // landed, the last merge charge included: the query fails unless the
+  // operator opted in to deadline-truncated answers.
+  if (result.ok() && !config_.partial_on_deadline) {
+    if (Status live = cancel.Check(); !live.ok()) result = live;
   }
   if (!result.ok()) {
     // Stale-while-revalidate: with every replica down (or quarantined, or
@@ -1547,7 +1533,6 @@ Result<ResultSet> DataAccessService::Query(const std::string& sql_text,
         st->databases = stale.meta.databases;
         st->tables = stale.meta.tables;
         st->rows = stale.result->num_rows();
-        st->simulated_ms = cost.total_ms();
         return finish(Result<ResultSet>(ResultSet(*stale.result)));
       }
     }
@@ -1560,7 +1545,7 @@ Result<ResultSet> DataAccessService::Query(const std::string& sql_text,
   // would turn a one-off degradation into a sticky wrong answer.
   const bool clean_execution = st->subqueries_failed == 0 &&
                                st->cancelled_subqueries == 0 &&
-                               !ctx.cancel.cancelled();
+                               !cancel.cancelled();
   if (use_cache && !result_key.empty()) {
     cache::ResultMeta meta;
     meta.distributed = st->distributed;
@@ -1573,7 +1558,6 @@ Result<ResultSet> DataAccessService::Query(const std::string& sql_text,
                         std::make_shared<ResultSet>(*result), meta);
   }
   st->rows = result->num_rows();
-  st->simulated_ms = cost.total_ms();
   return finish(std::move(result));
 }
 

@@ -45,7 +45,6 @@ struct DataAccessConfig {
   bool parallel_subqueries = true;
   bool projection_pushdown = true;
   bool predicate_pushdown = true;
-  size_t max_threads = 8;
 
   std::string db_user;  ///< Credentials presented to backend databases.
   std::string db_password;
@@ -53,9 +52,6 @@ struct DataAccessConfig {
   // Fault tolerance. The defaults preserve the seed's fail-fast behaviour
   // (and the paper-calibrated measurements): no retries, no RLS caching,
   // whole-query failure on any sub-query error.
-  /// How many times a query may be forwarded between JClarens servers
-  /// before the loop guard trips with kFailedPrecondition.
-  int max_forward_depth = 3;
   /// Retry/deadline behaviour of every outbound RPC (remote JClarens
   /// peers and the RLS).
   rpc::RetryPolicy retry_policy = rpc::RetryPolicy::None();
@@ -143,7 +139,7 @@ struct DataAccessConfig {
 
 /// Per-query measurements surfaced to clients and benches.
 struct QueryStats {
-  double simulated_ms = 0;   ///< Virtual-clock response time.
+  double simulated_ms = 0;   ///< Milliseconds charged to the query's ledger.
   bool distributed = false;  ///< Data fetched from more than one database.
   bool used_rls = false;     ///< RLS lookup was needed.
   size_t servers_contacted = 1;  ///< JClarens servers involved (incl. this).
@@ -256,8 +252,9 @@ class DataAccessService {
   /// `forward_depth` counts how many times this query has already been
   /// forwarded between JClarens servers (loop guard); `forward_path`
   /// carries the visited server URLs for loop diagnostics. `ctx` carries
-  /// the caller's cancel token / deadline budget and scheduling priority;
-  /// the default (inert token, interactive) preserves seed behaviour.
+  /// the caller's cancel token, the start and deadline instants of the
+  /// query's ledger, and the scheduling priority; the default (inert
+  /// token, no deadline, interactive) preserves seed behaviour.
   Result<storage::ResultSet> Query(const std::string& sql_text,
                                    QueryStats* stats = nullptr,
                                    int forward_depth = 0,
@@ -292,15 +289,13 @@ class DataAccessService {
   /// location, or every sub-query at its location in one fan-out on
   /// `workers_` followed by one merge. `fingerprint` is empty when the
   /// query cache is off for this query. `stats` must be non-null.
-  /// `cancel` (nullable) is the query's shared cancellation token; it is
-  /// checked before every sub-query and at row-batch granularity in the
-  /// merge.
+  /// `cost` is the query's ledger; its token is checked before every
+  /// sub-query and at row-batch granularity in the merge.
   Result<storage::ResultSet> Execute(const sql::SelectStmt& stmt,
                                      const std::string& fingerprint,
                                      net::Cost* cost, QueryStats* stats,
                                      int forward_depth,
                                      const std::string& forward_path,
-                                     const CancelToken* cancel,
                                      const std::string& tenant);
 
   /// Plan-time grant check: Ok when no RBAC catalog is configured,
@@ -316,18 +311,17 @@ class DataAccessService {
   /// dialect strings from the (possibly cached) plan.
   Result<storage::ResultSet> ExecuteSubQueryRouted(
       const unity::SubQuery& sub, const cache::RenderedSubQuery& render,
-      net::Cost* cost, QueryStats* stats, const CancelToken* cancel);
+      net::Cost* cost, QueryStats* stats);
 
   /// Runs a query on a remote JClarens server over RPC. The remaining
-  /// deadline budget (if `cancel` carries one) rides the request as the
-  /// sparse <deadlineMs> member, so the remote side inherits a budget
-  /// already shrunk by this hop's network latency.
+  /// deadline budget (if the ledger `cost` carries one) rides the request
+  /// as the sparse <deadlineMs> member, so the remote side inherits a
+  /// budget already shrunk by this hop's work.
   Result<storage::ResultSet> RemoteQuery(const std::string& server_url,
                                          const std::string& sql_text,
                                          net::Cost* cost, QueryStats* stats,
                                          int forward_depth,
                                          const std::string& forward_path,
-                                         const CancelToken* cancel,
                                          const std::string& tenant);
 
   /// Runs `sql_text` against the first candidate the circuit breaker
@@ -339,7 +333,7 @@ class DataAccessService {
       const std::vector<std::string>& candidates, const std::string& table,
       const std::string& sql_text, net::Cost* cost, QueryStats* stats,
       int forward_depth, const std::string& forward_path,
-      const CancelToken* cancel, const std::string& tenant);
+      const std::string& tenant);
 
   /// Circuit breaker bookkeeping (per server URL, virtual-clock cooldown).
   bool BreakerAllows(const std::string& server_url);

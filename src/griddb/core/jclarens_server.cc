@@ -11,6 +11,10 @@ using rpc::XmlRpcStruct;
 using rpc::XmlRpcValue;
 
 namespace {
+/// How many times a query may be forwarded between JClarens servers
+/// before the loop guard trips with kFailedPrecondition.
+constexpr int kMaxForwardDepth = 3;
+
 Result<std::string> StringParam(const XmlRpcArray& params, size_t index) {
   if (index >= params.size()) {
     return InvalidArgument("missing parameter " + std::to_string(index));
@@ -76,7 +80,7 @@ void JClarensServer::RegisterMethods() {
       [this](const XmlRpcArray& params,
              rpc::CallContext& ctx) -> Result<XmlRpcValue> {
         GRIDDB_ASSIGN_OR_RETURN(std::string sql, StringParam(params, 0));
-        if (ctx.forward_depth >= service_.config().max_forward_depth) {
+        if (ctx.forward_depth >= kMaxForwardDepth) {
           std::string path = ctx.forward_path.empty()
                                  ? service_.config().server_url
                                  : ctx.forward_path + " -> " +
@@ -94,26 +98,24 @@ void JClarensServer::RegisterMethods() {
         obs::Span span;
         if (tracer.enabled() && ctx.trace_parent.valid()) {
           span = tracer.StartSpanUnder("dataaccess.query.remote",
-                                       ctx.trace_parent);
+                                       ctx.trace_parent, &ctx.cost);
           span.AddAttr("server", service_.config().server_url);
         }
-        // Overload context. A budget shipped on the wire (sparse
-        // <deadlineMs>, already shrunk by upstream hops and latency)
-        // becomes a deadline token on the virtual clock; an optional
-        // second parameter "scan" lowers the scheduling class so admission
-        // control sheds this query before interactive ones. Both are
-        // sparse: requests that carry neither run exactly as before.
+        // Overload context. The query's ledger continues this request's
+        // (whose deadline is the budget shipped on the wire, already
+        // shrunk by upstream hops); an optional second parameter "scan"
+        // lowers the scheduling class so admission control sheds this
+        // query before interactive ones. Both are sparse: requests that
+        // carry neither run exactly as before.
         QueryContext qctx;
         // The tenant identity travels hop-by-hop (sparse <tenant> header):
         // grant checks and lane accounting on every server along a
         // forwarding chain see the ORIGINAL requester, not the forwarding
         // peer.
         qctx.tenant = ctx.tenant;
-        if (ctx.deadline_budget_ms > 0) {
-          net::Network* network = ctx.transport->network();
-          qctx.cancel = CancelToken::WithBudget(
-              [network] { return network->NowMs(); }, ctx.deadline_budget_ms);
-        }
+        qctx.cancel = ctx.cost.cancel();
+        qctx.start_ms = ctx.cost.now_ms();
+        qctx.deadline_ms = ctx.cost.deadline_ms();
         if (params.size() >= 2) {
           auto priority = params[1].AsString();
           if (priority.ok() && *priority == "scan") {

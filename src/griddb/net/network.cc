@@ -114,12 +114,6 @@ void Network::AdvanceClockMs(double ms) {
   clock_ms_ += ms;
 }
 
-void Network::AdvanceClockMs(double ms, double limit_ms) {
-  if (ms <= 0) return;
-  std::lock_guard<std::mutex> lock(fault_mu_);
-  clock_ms_ = std::max(clock_ms_, std::min(clock_ms_ + ms, limit_ms));
-}
-
 bool Network::HostDownNow(const std::string& host) const {
   std::shared_ptr<FaultPlan> plan;
   double now = 0;

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <memory>
 #include <shared_mutex>
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "griddb/net/fault.h"
+#include "griddb/util/cancellation.h"
 #include "griddb/util/status.h"
 
 namespace griddb::net {
@@ -45,27 +47,90 @@ struct LinkSpec {
   static LinkSpec Loopback() { return {0.02, 10000.0, 1.0}; }
 };
 
-/// Accumulates simulated milliseconds along one logical operation path.
-/// Sequential work adds; parallel fan-out contributes the maximum of the
-/// branches (the paper's enhanced driver runs sub-queries concurrently).
+/// A query's cost ledger: the one clock its simulated time, its spans and
+/// its deadline read. Its "now" is an origin plus the milliseconds charged
+/// since. Sequential work adds; a branch of parallel work runs on a Fork()
+/// taken at the parent's now, and joining branches takes the slowest (the
+/// paper's enhanced driver runs sub-queries concurrently).
+///
+/// The deadline is an instant on this clock. A charge that reaches it
+/// latches the query's shared CancelToken with kDeadlineExceeded, so every
+/// sibling branch fails its next Check(). A ledger without a deadline
+/// carries an inert token: charging and forking it allocate nothing and
+/// touch no atomics.
 class Cost {
  public:
-  void AddMs(double ms) { total_ms_ += std::max(0.0, ms); }
-  void AddSequential(const Cost& other) { total_ms_ += other.total_ms_; }
+  Cost() = default;
+  /// A ledger that reads `origin_ms` before its first charge; `cancel` is
+  /// the token a deadline expiry latches (and that forks share).
+  explicit Cost(double origin_ms, CancelToken cancel = {})
+      : origin_ms_(origin_ms), cancel_(std::move(cancel)) {}
 
-  /// Joins parallel branches: the slowest branch gates completion.
+  /// A branch ledger starting at this one's now, with the same deadline
+  /// and token.
+  Cost Fork() const {
+    Cost branch(now_ms(), cancel_);
+    branch.deadline_ms_ = deadline_ms_;
+    return branch;
+  }
+
+  void AddMs(double ms) {
+    total_ms_ += std::max(0.0, ms);
+    ExpireIfDue(now_ms());
+  }
+  /// Appends work that ran after everything charged so far.
+  void AddSequential(const Cost& other) { AddMs(other.total_ms_); }
+
+  /// Joins parallel branches forked at this ledger's now: the slowest
+  /// branch gates completion.
   void AddParallel(const std::vector<Cost>& branches) {
     double slowest = 0;
     for (const Cost& branch : branches) {
       slowest = std::max(slowest, branch.total_ms_);
     }
-    total_ms_ += slowest;
+    AddMs(slowest);
   }
 
+  /// Waits until `instant_ms` (never backwards): a client giving up at an
+  /// attempt's deadline. Reaching the query's deadline this way expires
+  /// it exactly, whatever rounding the charges before it carried.
+  void AdvanceTo(double instant_ms) {
+    if (instant_ms <= now_ms()) return;
+    total_ms_ = instant_ms - origin_ms_;
+    ExpireIfDue(instant_ms);
+  }
+
+  /// Moves the deadline to `instant_ms` when that is sooner (the tightest
+  /// budget wins). The first deadline gives an inert ledger a live token.
+  void SetDeadline(double instant_ms) {
+    if (!(instant_ms < deadline_ms_)) return;
+    if (!cancel_.active()) cancel_ = CancelToken::Cancellable();
+    deadline_ms_ = instant_ms;
+    ExpireIfDue(now_ms());
+  }
+
+  /// Milliseconds charged to this ledger (not counting its origin).
   double total_ms() const { return total_ms_; }
+  double now_ms() const { return origin_ms_ + total_ms_; }
+  /// The deadline instant; +inf when none.
+  double deadline_ms() const { return deadline_ms_; }
+  /// Milliseconds left before the deadline: +inf when none, never negative.
+  double remaining_ms() const {
+    return std::max(0.0, deadline_ms_ - now_ms());
+  }
+  const CancelToken& cancel() const { return cancel_; }
 
  private:
+  void ExpireIfDue(double now) const {
+    if (now >= deadline_ms_ && !cancel_.cancelled()) {
+      cancel_.Cancel(DeadlineExceeded("query deadline exceeded"));
+    }
+  }
+
+  double origin_ms_ = 0;
   double total_ms_ = 0;
+  double deadline_ms_ = std::numeric_limits<double>::infinity();
+  CancelToken cancel_;
 };
 
 /// Named hosts and the links between them. Thread-safe (read-mostly).
@@ -100,17 +165,13 @@ class Network {
   bool HasFaultPlan() const;
   FaultCounters fault_counters() const;
 
-  /// Virtual clock in simulated milliseconds. The RPC layer advances it as
-  /// simulated cost accrues (transfers, server work, retry backoff), and
-  /// down-windows are evaluated against it.
+  /// The fault-schedule timeline in simulated milliseconds: down-windows,
+  /// breaker cooldowns and ETL transfers are evaluated against it. RPC
+  /// legs and retry backoff advance it (every query, every branch), so it
+  /// is shared by all traffic; no query's time, span or deadline reads it
+  /// (those live on the query's Cost ledger).
   double NowMs() const;
   void AdvanceClockMs(double ms);
-  /// Advances the clock by `ms`, but never past `limit_ms` (and never
-  /// backwards). A deadline-bounded RPC attempt charges through this:
-  /// branches of one query run concurrently and share this clock, so a
-  /// plain sum would push it past the deadline they share by whatever
-  /// the siblings charged while the attempt was in flight.
-  void AdvanceClockMs(double ms, double limit_ms);
 
   /// True when `host` is inside a down-window at the current clock.
   bool HostDownNow(const std::string& host) const;

@@ -24,6 +24,7 @@ Span& Span::operator=(Span&& other) noexcept {
   ctx_ = other.ctx_;
   parent_span_id_ = other.parent_span_id_;
   name_ = std::move(other.name_);
+  clock_ = other.clock_;
   start_ms_ = other.start_ms_;
   error_ = other.error_;
   note_ = std::move(other.note_);
@@ -57,11 +58,12 @@ void Tracer::Reseed(uint64_t seed) {
   next_id_.store(1, std::memory_order_relaxed);
 }
 
-Span Tracer::StartSpan(std::string name) {
-  return StartSpanUnder(std::move(name), CurrentContext());
+Span Tracer::StartSpan(std::string name, SpanClock clock) {
+  return StartSpanUnder(std::move(name), CurrentContext(), clock);
 }
 
-Span Tracer::StartSpanUnder(std::string name, const SpanContext& parent) {
+Span Tracer::StartSpanUnder(std::string name, const SpanContext& parent,
+                            SpanClock clock) {
   if (!enabled()) return Span();
   Span span;
   span.tracer_ = this;
@@ -73,7 +75,8 @@ Span Tracer::StartSpanUnder(std::string name, const SpanContext& parent) {
     span.ctx_.trace_id = NextId();
   }
   span.ctx_.span_id = NextId();
-  span.start_ms_ = clock_ ? clock_() : 0.0;
+  span.clock_ = clock;
+  span.start_ms_ = clock.NowMs();
   span.prev_tracer_ = tls_tracer;
   span.prev_ctx_ = tls_ctx;
   tls_tracer = this;
@@ -99,8 +102,7 @@ void Tracer::FinishSpan(Span& span) {
   record.parent_span_id = span.parent_span_id_;
   record.name = std::move(span.name_);
   record.start_ms = span.start_ms_;
-  double now = clock_ ? clock_() : 0.0;
-  record.duration_ms = std::max(0.0, now - span.start_ms_);
+  record.duration_ms = std::max(0.0, span.clock_.NowMs() - span.start_ms_);
   record.error = span.error_;
   record.note = std::move(span.note_);
   record.attrs = std::move(span.attrs_);

@@ -1,4 +1,4 @@
-// Hierarchical distributed tracing on the virtual clock.
+// Hierarchical distributed tracing on the queries' cost ledgers.
 //
 // A Tracer hands out RAII Span handles; finished spans accumulate as
 // SpanRecords that can be drained, rendered as an indented tree, or
@@ -8,10 +8,10 @@
 //
 // Determinism: trace and span ids come from a seeded counter — no
 // wall clock, no randomness — so a test replaying the same call
-// sequence sees the same ids. Timestamps come from an injected clock
-// (the data access layer wires net::Network::NowMs, the virtual clock);
-// with no clock set every timestamp is 0 and spans still nest correctly
-// by parentage.
+// sequence sees the same ids. Timestamps come from the cost ledger of
+// the work a span covers (a query's net::Cost, see SpanClock), read at
+// start and at end, so span durations add up to the query's simulated
+// time; a span opened without one reads 0.
 //
 // Parenting: each thread tracks its innermost live span; StartSpan
 // parents to it implicitly when it belongs to the same tracer. Work
@@ -27,7 +27,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -50,7 +49,7 @@ struct SpanRecord {
   uint64_t parent_span_id = 0;  ///< 0 = root of its trace.
   std::string name;
   std::string host;     ///< Producing server; empty = this process.
-  double start_ms = 0;  ///< Tracer clock (virtual ms) at StartSpan.
+  double start_ms = 0;  ///< Ledger instant (virtual ms) at StartSpan.
   double duration_ms = 0;
   bool error = false;
   std::string note;  ///< Error detail when `error`.
@@ -58,6 +57,29 @@ struct SpanRecord {
 };
 
 class Tracer;
+
+/// Where a span reads its start and end instants: the cost ledger of the
+/// work it covers (net::Cost, or anything with `double now_ms() const`).
+/// obs/ sits below net/, so the ledger is seen through this two-word
+/// view; the ledger must outlive the span. A default SpanClock reads 0.
+class SpanClock {
+ public:
+  SpanClock() = default;
+  template <typename Ledger>
+  SpanClock(const Ledger* ledger)  // NOLINT: implicit, StartSpan(n, &cost)
+      : ledger_(ledger), read_(&Read<Ledger>) {}
+
+  double NowMs() const { return ledger_ ? read_(ledger_) : 0.0; }
+
+ private:
+  template <typename Ledger>
+  static double Read(const void* ledger) {
+    return static_cast<const Ledger*>(ledger)->now_ms();
+  }
+
+  const void* ledger_ = nullptr;
+  double (*read_)(const void*) = nullptr;
+};
 
 /// RAII span handle. Inactive (no-op) when the tracer was disabled at
 /// StartSpan time. Ends at destruction or an explicit End(); ending
@@ -87,6 +109,7 @@ class Span {
   SpanContext ctx_;
   uint64_t parent_span_id_ = 0;
   std::string name_;
+  SpanClock clock_;
   double start_ms_ = 0;
   bool error_ = false;
   std::string note_;
@@ -105,16 +128,14 @@ class Tracer {
   void Reseed(uint64_t seed);
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  /// Timestamp source for span start/duration (virtual ms). Set before
-  /// spans start; default reports 0.
-  void set_clock(std::function<double()> clock) { clock_ = std::move(clock); }
 
   /// New span, implicitly parented to this thread's innermost live span
-  /// of this tracer (a new root trace otherwise).
-  Span StartSpan(std::string name);
+  /// of this tracer (a new root trace otherwise), timed on `clock`.
+  Span StartSpan(std::string name, SpanClock clock = {});
   /// New span under an explicit parent — cross-thread fan-out, or a
   /// remote caller's wire context. An invalid parent starts a new root.
-  Span StartSpanUnder(std::string name, const SpanContext& parent);
+  Span StartSpanUnder(std::string name, const SpanContext& parent,
+                      SpanClock clock = {});
   /// This thread's innermost live span of this tracer (invalid if none).
   SpanContext CurrentContext() const;
 
@@ -150,7 +171,6 @@ class Tracer {
   uint64_t seed_;
   std::atomic<uint64_t> next_id_{1};
   std::atomic<bool> enabled_{false};
-  std::function<double()> clock_;
   mutable std::mutex mu_;
   std::vector<SpanRecord> finished_;
   size_t dropped_ = 0;

@@ -197,8 +197,7 @@ Status RlsClient::Unpublish(const std::string& logical_name,
 }
 
 Result<std::vector<std::string>> RlsClient::Lookup(
-    const std::string& logical_name, net::Cost* cost,
-    const CancelToken* cancel) {
+    const std::string& logical_name, net::Cost* cost) {
   const std::string key = ToLower(logical_name);
   LookupCounter().Add(1);
   {
@@ -216,8 +215,7 @@ Result<std::vector<std::string>> RlsClient::Lookup(
   params.emplace_back(logical_name);
   GRIDDB_ASSIGN_OR_RETURN(
       XmlRpcValue result,
-      client_.Call("rls.lookup", std::move(params), cost, /*forward_depth=*/0,
-                   /*forward_path=*/"", /*call_stats=*/nullptr, cancel));
+      client_.Call("rls.lookup", std::move(params), cost));
   GRIDDB_ASSIGN_OR_RETURN(const XmlRpcArray* urls, result.AsArray());
   std::vector<std::string> out;
   out.reserve(urls->size());

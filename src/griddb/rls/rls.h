@@ -66,11 +66,10 @@ class RlsClient {
 
   /// Hosting servers for a logical table. Charges the RLS lookup cost the
   /// paper identifies as part of the distributed-query penalty (cache hits
-  /// charge nothing: the answer is local). `cancel` bounds the lookup by
-  /// the querying client's remaining budget (see rpc::RpcClient::Call).
+  /// charge nothing: the answer is local) to the ledger `cost`, whose
+  /// deadline bounds the lookup (see rpc::RpcClient::Call).
   Result<std::vector<std::string>> Lookup(const std::string& logical_name,
-                                          net::Cost* cost = nullptr,
-                                          const CancelToken* cancel = nullptr);
+                                          net::Cost* cost = nullptr);
 
   /// Opt-in lookup cache. Off by default so the paper's per-query RLS
   /// charge stays in the measured numbers; switch on to survive RLS

@@ -260,7 +260,9 @@ std::string RpcServer::HandleRaw(std::string_view raw_request,
   auto request = DecodeRequest(raw_request);
   if (!request.ok()) return respond(request.status());
   ctx.trace_parent = {request->trace_id, request->parent_span_id};
-  ctx.deadline_budget_ms = request->deadline_ms;
+  // The ledger started at 0 on arrival; the caller's remaining budget
+  // becomes its deadline instant.
+  if (request->deadline_ms > 0) ctx.cost.SetDeadline(request->deadline_ms);
   ctx.tenant = request->tenant;
   response_caps = wire::CapsFromString(request->wire_accept) & wire_caps_;
 
@@ -378,21 +380,28 @@ void RpcClient::set_retry_policy(const RetryPolicy& policy) {
   jitter_rng_ = Rng(policy.jitter_seed);
 }
 
-void RpcClient::Charge(net::Cost* cost, double ms, double limit_ms) {
+void RpcClient::Charge(net::Cost* cost, double ms) {
   if (ms <= 0) return;
-  if (cost) cost->AddMs(ms);
-  transport_->network()->AdvanceClockMs(ms, limit_ms);
+  cost->AddMs(ms);
+  transport_->network()->AdvanceClockMs(ms);
 }
 
 Result<XmlRpcValue> RpcClient::CallOnce(
     const std::string& method, const XmlRpcArray& params, net::Cost* cost,
     int forward_depth, const std::string& forward_path,
-    const obs::SpanContext& trace_ctx, double attempt_budget_ms,
-    double wire_deadline_ms, double limit_ms, const std::string& tenant,
-    CallStats* call_stats, wire::StreamSink* sink) {
+    const obs::SpanContext& trace_ctx, double attempt_timeout_ms,
+    double end_ms, const std::string& tenant, CallStats* call_stats,
+    wire::StreamSink* sink) {
   GRIDDB_RETURN_IF_ERROR(Connect(cost));
+  // Connecting may itself have spent the query's budget.
+  GRIDDB_RETURN_IF_ERROR(cost->cancel().Check());
   GRIDDB_ASSIGN_OR_RETURN(RpcServer * server,
                           transport_->Resolve(server_url_));
+  const double attempt_start = cost->now_ms();
+  double attempt_end = std::min(end_ms, cost->deadline_ms());
+  if (attempt_timeout_ms > 0) {
+    attempt_end = std::min(attempt_end, attempt_start + attempt_timeout_ms);
+  }
 
   RpcRequest request;
   request.method = method;
@@ -400,37 +409,38 @@ Result<XmlRpcValue> RpcClient::CallOnce(
   request.session_token = session_token_;
   request.trace_id = trace_ctx.trace_id;
   request.parent_span_id = trace_ctx.span_id;
-  request.deadline_ms = wire_deadline_ms > 0 ? wire_deadline_ms : 0;
+  request.deadline_ms =
+      std::isfinite(cost->deadline_ms()) ? cost->remaining_ms() : 0;
   request.tenant = tenant;
   request.wire_accept = wire_accept_;
   std::string raw_request = EncodeRequest(request);
   if (call_stats) call_stats->request_bytes += raw_request.size();
 
   net::Network* network = transport_->network();
-  const double deadline = attempt_budget_ms;
-  double attempt_ms = 0;  // Charged toward this attempt's deadline.
-
+  const bool bounded = std::isfinite(attempt_end);
+  // Waiting out the attempt lands the ledger on its deadline exactly; when
+  // that is the query's deadline, the query expires with it.
+  auto wait_until_end = [&] {
+    network->AdvanceClockMs(attempt_end - cost->now_ms());
+    cost->AdvanceTo(attempt_end);
+  };
   // A lost message is only detected by waiting out the attempt budget.
   auto wait_out = [&](const Status& failure) -> Status {
-    if (failure.code() == StatusCode::kTimeout && deadline > 0) {
-      Charge(cost, deadline - attempt_ms, limit_ms);
-    }
+    if (failure.code() == StatusCode::kTimeout && bounded) wait_until_end();
     return failure;
   };
   // The client gives up mid-leg once the budget is spent.
   auto over_deadline = [&](double next_ms) {
-    return deadline > 0 && attempt_ms + next_ms > deadline;
+    return bounded && cost->now_ms() + next_ms > attempt_end;
   };
   auto abort_deadline = [&](const char* leg) -> Status {
-    Charge(cost, deadline - attempt_ms, limit_ms);
+    wait_until_end();
     return Timeout(std::string(leg) + " of call '" + method +
-                   "' exceeded the " + std::to_string(deadline) +
+                   "' exceeded the " +
+                   std::to_string(attempt_end - attempt_start) +
                    " ms attempt deadline");
   };
-  auto charge_leg = [&](double ms) {
-    attempt_ms += ms;
-    Charge(cost, ms, limit_ms);
-  };
+  auto charge_leg = [&](double ms) { Charge(cost, ms); };
 
   // Request leg (fault injection applies per message direction).
   auto request_ms =
@@ -438,7 +448,10 @@ Result<XmlRpcValue> RpcClient::CallOnce(
   if (!request_ms.ok()) return wait_out(request_ms.status());
   if (over_deadline(*request_ms)) return abort_deadline("request transfer");
   charge_leg(*request_ms);
+  if (call_stats) call_stats->request_sent_ms = cost->now_ms();
 
+  // The server keeps its own ledger, starting at 0 when the request
+  // arrives (request_sent_ms on ours); its total is this leg.
   net::Cost server_cost;
   std::string raw_response = server->HandleRaw(
       raw_request, client_host_, &server_cost, forward_depth, forward_path);
@@ -543,10 +556,7 @@ Result<XmlRpcValue> RpcClient::ReceiveBinary(
     chunk_credit.push_back(consumer_free);
     if (chunk_index == 0) {
       GRIDDB_RETURN_IF_ERROR(charge_to(consumer_free));
-      if (call_stats) {
-        call_stats->first_chunk_ms =
-            cost != nullptr ? cost->total_ms() : charged;
-      }
+      if (call_stats) call_stats->first_chunk_ms = cost->total_ms();
     }
   }
   GRIDDB_RETURN_IF_ERROR(charge_to(std::max(link_free, consumer_free)));
@@ -562,7 +572,6 @@ Result<XmlRpcValue> RpcClient::Call(const std::string& method,
                                     int forward_depth,
                                     const std::string& forward_path,
                                     CallStats* call_stats,
-                                    const CancelToken* cancel,
                                     const std::string& tenant,
                                     wire::StreamSink* sink) {
   const std::string& wire_tenant = tenant.empty() ? default_tenant_ : tenant;
@@ -572,19 +581,19 @@ Result<XmlRpcValue> RpcClient::Call(const std::string& method,
     policy = retry_policy_;
   }
   ClientCalls().Add(1);
-  // All charging flows through a local tee so the histogram sees exactly
-  // the simulated ms this call cost, whether or not the caller accounts.
-  net::Cost local_cost;
+  // The call runs on a fork of the caller's ledger, so it sees the query's
+  // deadline and token, and the histogram sees exactly what it cost.
+  net::Cost local = cost != nullptr ? cost->Fork() : net::Cost();
   obs::Span span;
   if (tracer_ && tracer_->enabled()) {
-    span = tracer_->StartSpan("rpc.call");
+    span = tracer_->StartSpan("rpc.call", &local);
     span.AddAttr("method", method);
     span.AddAttr("server", server_url_);
   }
   const obs::SpanContext trace_ctx = span.context();
   auto finish = [&](Result<XmlRpcValue> result) -> Result<XmlRpcValue> {
-    if (cost) cost->AddSequential(local_cost);
-    ClientCallMs().Observe(local_cost.total_ms());
+    if (cost) cost->AddSequential(local);
+    ClientCallMs().Observe(local.total_ms());
     if (!result.ok()) {
       ClientFailures().Add(1);
       if (span.active()) span.SetError(result.status().ToString());
@@ -592,61 +601,36 @@ Result<XmlRpcValue> RpcClient::Call(const std::string& method,
     span.End();
     return result;
   };
-  // The call's overall budget: the policy's overall deadline, the caller's
-  // cancellation token, or both — whichever is tighter at any moment.
-  // Spent ms accumulate in local_cost; token expiry is re-read each
-  // attempt because other branches of the same query spend it too.
-  const bool has_overall = policy.overall_timeout_ms > 0;
-  const bool has_token =
-      cancel != nullptr && cancel->active() && cancel->has_deadline();
-  auto overall_left = [&]() {
-    double left = std::numeric_limits<double>::infinity();
-    if (has_overall) {
-      left = policy.overall_timeout_ms - local_cost.total_ms();
-    }
-    if (has_token) left = std::min(left, cancel->remaining_ms());
-    return left;
-  };
+  // The policy's overall deadline as an instant on the call's ledger; the
+  // query's own deadline lives on the ledger and bounds every attempt too.
+  const double overall_end = policy.overall_timeout_ms > 0
+                                 ? local.now_ms() + policy.overall_timeout_ms
+                                 : std::numeric_limits<double>::infinity();
   const int max_attempts = std::max(1, policy.max_attempts);
   double backoff = policy.initial_backoff_ms;
   for (int attempt = 1;; ++attempt) {
-    if (cancel != nullptr) {
-      Status live = cancel->Check();
-      if (!live.ok()) return finish(live);
+    // A spent budget (this call's, a sibling branch's) or a client abort
+    // latched the query's token.
+    if (Status live = local.cancel().Check(); !live.ok()) return finish(live);
+    if (local.now_ms() >= overall_end) {
+      return finish(Timeout("call '" + method + "' exceeded the " +
+                            std::to_string(policy.overall_timeout_ms) +
+                            " ms overall deadline"));
     }
-    double left = overall_left();
-    if (left <= 0) {
-      return finish(has_token && cancel->remaining_ms() <= 0
-                        ? DeadlineExceeded("call '" + method +
-                                           "' ran out of query budget")
-                        : Timeout("call '" + method + "' exceeded the " +
-                                  std::to_string(policy.overall_timeout_ms) +
-                                  " ms overall deadline"));
-    }
-    // The attempt may spend at most the per-attempt deadline, clipped to
-    // what is left of the overall budget.
-    double attempt_budget = policy.attempt_timeout_ms;
-    if (std::isfinite(left) && (attempt_budget <= 0 || left < attempt_budget)) {
-      attempt_budget = left;
-    }
-    double wire_deadline =
-        has_token ? cancel->remaining_ms() : 0;
     if (call_stats) ++call_stats->attempts;
     // A retry re-delivers any stream from the top; the sink must drop
     // partial state from the failed attempt.
     if (sink != nullptr && attempt > 1) sink->OnRestart();
     if (call_stats && attempt > 1) call_stats->streamed_chunks = 0;
-    // The query's deadline as an instant on the shared clock: the
-    // attempt's charges never move the clock past it, whatever sibling
-    // branches of the same query charged while it was in flight.
-    const double limit_ms = has_token
-                                ? cancel->deadline_ms()
-                                : std::numeric_limits<double>::infinity();
-    Result<XmlRpcValue> result = CallOnce(method, params, &local_cost,
-                                          forward_depth, forward_path,
-                                          trace_ctx, attempt_budget,
-                                          wire_deadline, limit_ms, wire_tenant,
-                                          call_stats, sink);
+    Result<XmlRpcValue> result =
+        CallOnce(method, params, &local, forward_depth, forward_path,
+                 trace_ctx, policy.attempt_timeout_ms, overall_end,
+                 wire_tenant, call_stats, sink);
+    // An attempt cut at the query's deadline expired it (or a sibling
+    // did): no retry can spend a budget that is gone.
+    if (!result.ok() && local.cancel().cancelled()) {
+      result = local.cancel().Check();
+    }
     if (result.ok() || !IsRetryable(result.status().code()) ||
         attempt >= max_attempts) {
       if (call_stats && !result.ok() &&
@@ -669,15 +653,16 @@ Result<XmlRpcValue> RpcClient::Call(const std::string& method,
     }
     // Never let backoff itself blow the budget: if waiting would spend the
     // rest of it, give up now with the last real failure.
-    double budget_left = overall_left();
+    const double budget_left =
+        std::min(overall_end, local.deadline_ms()) - local.now_ms();
     if (std::isfinite(budget_left) && wait >= budget_left) {
       return finish(std::move(result));
     }
     if (call_stats) ++call_stats->retries;
     ClientRetries().Add(1);
-    // The backoff wait advances the virtual clock, which is what lets a
-    // retry schedule outlast a host down-window.
-    Charge(&local_cost, wait);
+    // The backoff wait advances the fault timeline too, which is what
+    // lets a retry schedule outlast a host down-window.
+    Charge(&local, wait);
     backoff = std::min(backoff * policy.backoff_multiplier,
                        policy.max_backoff_ms);
   }

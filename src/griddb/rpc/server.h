@@ -10,7 +10,6 @@
 #pragma once
 
 #include <functional>
-#include <limits>
 #include <map>
 #include <memory>
 #include <shared_mutex>
@@ -42,9 +41,9 @@ double RetryAfterHintMs(const std::string& message);
 
 /// Retry behaviour of one RpcClient: bounded attempts with exponential
 /// backoff + deterministic jitter, and a per-attempt deadline on the
-/// virtual clock. Backoff and timeout waits are charged to the call's
-/// Cost and advance the network clock, so retries interact correctly with
-/// host down-windows.
+/// call's cost ledger. Backoff and timeout waits are charged to the
+/// ledger and advance the network's fault timeline, so retries interact
+/// correctly with host down-windows.
 struct RetryPolicy {
   int max_attempts = 1;             ///< 1 = never retry.
   double initial_backoff_ms = 50.0;
@@ -88,6 +87,9 @@ struct CallStats {
   /// request; the response fields reflect the successful attempt).
   size_t request_bytes = 0;
   size_t response_bytes = 0;
+  /// Ledger instant the successful attempt's request reached the server:
+  /// where the server's own ledger (and the spans it ships back) starts.
+  double request_sent_ms = 0;
   /// Simulated ms the response spent on the wire (for a streamed response
   /// this is the whole pipelined leg: transfers overlapped with chunk
   /// consumption).
@@ -137,7 +139,12 @@ struct CallContext {
   std::string client_host;
   std::string server_host;
   std::string authenticated_user;  ///< Empty for anonymous calls.
-  net::Cost cost;                  ///< Server-side simulated cost.
+  /// The server's ledger for this request: starts at 0 on arrival, and
+  /// the remaining budget the request carried (sparse <deadlineMs>
+  /// header) is its deadline instant. Handlers charge their work here and
+  /// fork the ledgers of the work they run from it, so a forwarded query
+  /// never outlives its caller.
+  net::Cost cost;
   Transport* transport = nullptr;  ///< For handlers that call out (RLS,
                                    ///< remote JClarens forwarding).
   int forward_depth = 0;           ///< Guards against forwarding loops.
@@ -147,10 +154,6 @@ struct CallContext {
   /// none). Handlers that trace open their server-side span under it and
   /// ship the resulting child spans back in the response.
   obs::SpanContext trace_parent;
-  /// Remaining query budget the request carried (<deadlineMs> header);
-  /// 0 = the caller set no deadline. Handlers that do real work derive a
-  /// CancelToken from it so a forwarded query never outlives its caller.
-  double deadline_budget_ms = 0;
   /// Tenant identity of the request; empty for the default anonymous
   /// tenant. On an authenticated client-facing hop this is derived from
   /// the session user's tenant binding (a <tenant> header that disagrees
@@ -254,24 +257,27 @@ class RpcClient {
   const RetryPolicy& retry_policy() const { return retry_policy_; }
 
   /// Attaches a tracer: every Call opens an "rpc.call" span (parented to
-  /// the calling thread's current span) and puts its context on the wire
-  /// so the server continues the trace. Null (the default) disables both.
+  /// the calling thread's current span, timed on the call's ledger) and
+  /// puts its context on the wire so the server continues the trace. Null
+  /// (the default) disables both.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
   obs::Tracer* tracer() const { return tracer_; }
 
   /// One RPC. Network transfer both ways + server-side handler cost are
-  /// added to `cost` (which may be null when the caller doesn't account).
+  /// charged to a fork of the ledger `cost` (which may be null when the
+  /// caller doesn't account) and joined into it when the call returns.
   /// Transient failures (see IsRetryable) are retried per the client's
-  /// RetryPolicy; backoff waits are charged to `cost` and advance the
-  /// network's virtual clock. `call_stats`, when given, receives the
-  /// attempt/retry counts of this call.
+  /// RetryPolicy; backoff waits are charged too and advance the network's
+  /// fault timeline. `call_stats`, when given, receives the attempt/retry
+  /// counts of this call.
   ///
-  /// `cancel`, when given and active, bounds the call end to end: each
-  /// attempt carries the remaining budget on the wire (<deadlineMs>), the
-  /// per-attempt deadline is clipped to what is left, backoff never
-  /// stretches past expiry, and a cancelled token fails the call
-  /// immediately between attempts. Retries and failover re-attempts
-  /// therefore spend the caller's budget rather than extending it.
+  /// A deadline on `cost` bounds the call end to end: each attempt
+  /// carries the remaining budget on the wire (<deadlineMs>), the
+  /// per-attempt deadline is clipped to it, backoff never stretches past
+  /// it, and a latched token (this call's own expiry, a sibling branch's,
+  /// or a client abort) fails the call with its reason between attempts.
+  /// Retries and failover re-attempts therefore spend the caller's budget
+  /// rather than extending it.
   ///
   /// `tenant`, when non-empty, rides each attempt as the sparse <tenant>
   /// header (overriding set_tenant's default); empty falls back to the
@@ -286,7 +292,6 @@ class RpcClient {
                            net::Cost* cost, int forward_depth = 0,
                            const std::string& forward_path = "",
                            CallStats* call_stats = nullptr,
-                           const CancelToken* cancel = nullptr,
                            const std::string& tenant = "",
                            wire::StreamSink* sink = nullptr);
 
@@ -315,16 +320,15 @@ class RpcClient {
   const std::string& server_url() const { return server_url_; }
 
  private:
-  /// `attempt_budget_ms` <= 0 means "no deadline this attempt";
-  /// `wire_deadline_ms` > 0 rides the request as <deadlineMs>;
-  /// `limit_ms` is the shared-clock instant no charge moves it past.
+  /// One attempt on the call's ledger `cost`. It ends at the earliest of
+  /// `attempt_timeout_ms` after connecting (<= 0 = none), `end_ms` (the
+  /// call's overall deadline instant) and the ledger's own deadline.
   Result<XmlRpcValue> CallOnce(const std::string& method,
                                const XmlRpcArray& params, net::Cost* cost,
                                int forward_depth,
                                const std::string& forward_path,
                                const obs::SpanContext& trace_ctx,
-                               double attempt_budget_ms,
-                               double wire_deadline_ms, double limit_ms,
+                               double attempt_timeout_ms, double end_ms,
                                const std::string& tenant,
                                CallStats* call_stats, wire::StreamSink* sink);
   /// Client side of a framed binary response: per-frame simulated
@@ -337,11 +341,9 @@ class RpcClient {
       const std::function<Status(const char*)>& abort_deadline,
       const std::function<void(double)>& charge_leg,
       const std::function<Status(const Status&)>& wait_out);
-  /// Charges `ms` to `cost` (when non-null) and advances the virtual clock
-  /// by it, never past `limit_ms` (the query deadline's instant; see
-  /// net::Network::AdvanceClockMs).
-  void Charge(net::Cost* cost, double ms,
-              double limit_ms = std::numeric_limits<double>::infinity());
+  /// Charges `ms` to the ledger and advances the network's fault
+  /// timeline by it.
+  void Charge(net::Cost* cost, double ms);
 
   Transport* transport_;
   std::string client_host_;

@@ -1,16 +1,14 @@
-// Cooperative cancellation and end-to-end query deadlines.
+// Cooperative cancellation for one query.
 //
-// A CancelToken is a cheap, copyable handle on shared cancellation state.
+// A CancelToken is a cheap, copyable handle on a shared cancelled latch.
 // Every sub-query spawned on behalf of one client query carries a copy of
-// the same token, so a deadline expiry (or client abort) observed by any
-// branch cancels all of its siblings: the first Check() that notices the
-// deadline has passed latches the cancelled state, and every later Check()
-// on any copy fails fast without consulting the clock again.
+// the same token, so a deadline expiry (or client abort) latched by any
+// branch cancels all of its siblings: once latched, every Check() on any
+// copy fails fast with the first reason.
 //
-// Deadlines are expressed on the simulation's virtual clock. The clock is
-// injected as a callback because util/ sits below net/ in the layering
-// (net::Network owns the virtual clock); a token built without a clock can
-// still be cancelled explicitly but never expires on its own.
+// The token holds no clock. Deadlines are instants on the query's cost
+// ledger (net::Cost), which latches the token when a charge reaches them;
+// util/ sits below net/, so the token only sees the outcome.
 //
 // A default-constructed token is inert: active() is false, Check() is
 // always OK, and no allocation or atomic traffic happens anywhere it is
@@ -19,8 +17,6 @@
 #pragma once
 
 #include <atomic>
-#include <cmath>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -33,63 +29,17 @@ namespace griddb {
 
 class CancelToken {
  public:
-  /// Inert token: never cancelled, no deadline.
+  /// Inert token: never cancelled.
   CancelToken() = default;
 
-  /// Cancellable token with no deadline (client-abort use case).
+  /// A live token (client abort, or a ledger with a deadline).
   static CancelToken Cancellable() {
     CancelToken token;
     token.state_ = std::make_shared<State>();
     return token;
   }
 
-  /// Token that expires `budget_ms` virtual milliseconds from now as told
-  /// by `clock` (a now-in-ms callback, typically net::Network::NowMs).
-  static CancelToken WithBudget(std::function<double()> clock,
-                                double budget_ms) {
-    CancelToken token;
-    token.state_ = std::make_shared<State>();
-    token.state_->clock = std::move(clock);
-    token.state_->deadline_ms.store(token.state_->clock() + budget_ms,
-                                    std::memory_order_relaxed);
-    return token;
-  }
-
   bool active() const { return state_ != nullptr; }
-
-  bool has_deadline() const {
-    return state_ && std::isfinite(state_->deadline_ms.load(
-                         std::memory_order_relaxed));
-  }
-
-  /// Absolute virtual instant the token expires; +inf when none.
-  double deadline_ms() const {
-    if (!state_) return std::numeric_limits<double>::infinity();
-    return state_->deadline_ms.load(std::memory_order_relaxed);
-  }
-
-  /// Virtual milliseconds left before expiry; +inf when no deadline.
-  /// Never negative: an expired token reports 0.
-  double remaining_ms() const {
-    if (!has_deadline()) return std::numeric_limits<double>::infinity();
-    double left =
-        state_->deadline_ms.load(std::memory_order_relaxed) - state_->clock();
-    return left > 0 ? left : 0;
-  }
-
-  /// Tightens the deadline to `budget_ms` from now if that is sooner than
-  /// the current deadline (a server applying its own cap to a forwarded
-  /// budget). No-op on an inert token.
-  void TightenBudget(std::function<double()> clock, double budget_ms) {
-    if (!state_) return;
-    if (!state_->clock) state_->clock = std::move(clock);
-    double candidate = state_->clock() + budget_ms;
-    double current = state_->deadline_ms.load(std::memory_order_relaxed);
-    while (candidate < current &&
-           !state_->deadline_ms.compare_exchange_weak(
-               current, candidate, std::memory_order_relaxed)) {
-    }
-  }
 
   /// Latches the cancelled state. Idempotent; the first reason wins.
   void Cancel(Status reason = Status(StatusCode::kDeadlineExceeded,
@@ -106,28 +56,15 @@ class CancelToken {
   }
 
   /// OK while the query may keep running; the cancellation reason once it
-  /// may not. Observing an expired deadline here cancels the shared state,
-  /// so sibling sub-queries fail fast on their next Check().
+  /// may not.
   Status Check() const {
-    if (!state_) return Status::Ok();
-    if (state_->cancelled.load(std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> lock(state_->mu);
-      return state_->reason;
-    }
-    double deadline = state_->deadline_ms.load(std::memory_order_relaxed);
-    if (std::isfinite(deadline) && state_->clock &&
-        state_->clock() >= deadline) {
-      Cancel(DeadlineExceeded("query deadline exceeded"));
-      std::lock_guard<std::mutex> lock(state_->mu);
-      return state_->reason;
-    }
-    return Status::Ok();
+    if (!cancelled()) return Status::Ok();
+    std::lock_guard<std::mutex> lock(state_->mu);
+    return state_->reason;
   }
 
  private:
   struct State {
-    std::function<double()> clock;  // set once at construction, then read-only
-    std::atomic<double> deadline_ms{std::numeric_limits<double>::infinity()};
     std::atomic<bool> cancelled{false};
     std::mutex mu;      // guards `reason`
     Status reason;
@@ -165,6 +102,12 @@ struct QueryContext {
   /// Checked against the RBAC catalog at plan time and used to pick the
   /// admission lane; forwarded hop-by-hop in the sparse <tenant> header.
   std::string tenant;
+  /// Instants on the caller's clock where the query's cost ledger starts
+  /// and must end (+inf = no deadline): its spans count from `start_ms`,
+  /// and a charge reaching `deadline_ms` cancels it with
+  /// kDeadlineExceeded.
+  double start_ms = 0;
+  double deadline_ms = std::numeric_limits<double>::infinity();
 };
 
 }  // namespace griddb

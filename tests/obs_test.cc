@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "griddb/net/network.h"
 #include "griddb/obs/metrics.h"
 #include "griddb/obs/trace.h"
 
@@ -18,20 +19,28 @@
 // allocations. The counter only ever increases; tests read the delta.
 static std::atomic<uint64_t> g_news{0};
 
-void* operator new(std::size_t size) {
+// Each operator is kept out of line: once inlined into a caller, GCC
+// pairs the malloc() inside new with the free() inside delete (or with
+// the other operator) and reports -Wmismatched-new-delete, although these
+// are exactly the matching replacement pair.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_news.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) {
+[[gnu::noinline]] void* operator new[](std::size_t size) {
   g_news.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace griddb::obs {
 namespace {
@@ -323,17 +332,33 @@ TEST(TraceTest, FinishedBufferEvictsOldest) {
 }
 
 TEST(TraceTest, InjectedClockStampsSpans) {
-  double now = 100;
+  // A span reads the cost ledger it is opened on, at start and at end.
+  griddb::net::Cost ledger(100.0);
   Tracer tracer(13);
   tracer.set_enabled(true);
-  tracer.set_clock([&now] { return now; });
-  Span span = tracer.StartSpan("timed");
-  now = 142.5;
+  Span span = tracer.StartSpan("timed", &ledger);
+  ledger.AddMs(42.5);
   span.End();
   ASSERT_EQ(tracer.finished_count(), 1u);
   const SpanRecord record = tracer.Finished()[0];
   EXPECT_DOUBLE_EQ(record.start_ms, 100);
   EXPECT_DOUBLE_EQ(record.duration_ms, 42.5);
+}
+
+TEST(TraceTest, LedgerWithoutDeadlineAllocatesNothing) {
+  // Spans read query ledgers, and every untraced, deadline-free query
+  // forks, charges, checks and joins them: that path must stay free.
+  griddb::net::Cost query;
+  const uint64_t before = g_news.load(std::memory_order_relaxed);
+  for (int i = 0; i < 1000; ++i) {
+    griddb::net::Cost branch = query.Fork();
+    branch.AddMs(0.5);
+    EXPECT_TRUE(branch.cancel().Check().ok());
+    query.AddSequential(branch);
+  }
+  EXPECT_EQ(g_news.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_DOUBLE_EQ(query.total_ms(), 500.0);
+  EXPECT_FALSE(query.cancel().active());
 }
 
 TEST(TraceTest, ErrorAndAttrsSurviveToRecordAndRendering) {

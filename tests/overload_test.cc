@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
 
+#include "bench/testbed.h"
 #include "griddb/core/jclarens_server.h"
 #include "griddb/engine/select_executor.h"
 #include "griddb/net/fault.h"
@@ -27,61 +29,61 @@ constexpr char kRlsUrl[] = "rls://rls-host:39281/rls";
 constexpr char kServerAUrl[] = "clarens://server-a:8080/clarens";
 constexpr char kServerBUrl[] = "clarens://server-b:8080/clarens";
 
-// ---------- CancelToken unit behaviour ----------
+// ---------- CancelToken latch and ledger deadline behaviour ----------
 
 TEST(CancelTokenTest, InertTokenIsFreeAndNeverCancels) {
   CancelToken token;
   EXPECT_FALSE(token.active());
-  EXPECT_FALSE(token.has_deadline());
   EXPECT_FALSE(token.cancelled());
   EXPECT_TRUE(token.Check().ok());
   token.Cancel();  // no-op on an inert token
   EXPECT_FALSE(token.cancelled());
-  EXPECT_TRUE(std::isinf(token.remaining_ms()));
+  // A ledger without a deadline keeps its token inert.
+  net::Cost ledger;
+  EXPECT_FALSE(ledger.cancel().active());
+  EXPECT_TRUE(std::isinf(ledger.deadline_ms()));
+  EXPECT_TRUE(std::isinf(ledger.remaining_ms()));
 }
 
 TEST(CancelTokenTest, DeadlineExpiryLatchesAcrossCopies) {
-  double now = 0;
-  CancelToken token = CancelToken::WithBudget([&now] { return now; }, 100.0);
-  CancelToken sibling = token;  // same shared state
-  EXPECT_TRUE(token.Check().ok());
-  EXPECT_DOUBLE_EQ(token.remaining_ms(), 100.0);
+  net::Cost ledger;
+  ledger.SetDeadline(100.0);
+  net::Cost sibling = ledger.Fork();  // same deadline, same token
+  EXPECT_TRUE(sibling.cancel().Check().ok());
+  EXPECT_DOUBLE_EQ(ledger.remaining_ms(), 100.0);
 
-  now = 100.0;  // the deadline instant counts as expired
-  Status first = sibling.Check();
+  ledger.AddMs(100.0);  // the deadline instant counts as expired
+  Status first = sibling.cancel().Check();
   EXPECT_EQ(first.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_TRUE(sibling.cancelled());
-  EXPECT_TRUE(token.cancelled());
+  EXPECT_TRUE(sibling.cancel().cancelled());
+  EXPECT_TRUE(ledger.cancel().cancelled());
 
-  // Latched: winding the clock back cannot revive the query.
-  now = 0;
-  EXPECT_EQ(token.Check().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_DOUBLE_EQ(token.remaining_ms(), 100.0);  // clock says so, latch wins
+  // Latched: the sibling's own clock still reads 0, the latch wins.
+  EXPECT_EQ(sibling.cancel().Check().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_DOUBLE_EQ(sibling.remaining_ms(), 100.0);
 }
 
 TEST(CancelTokenTest, TightenBudgetTakesMinimum) {
-  double now = 0;
-  auto clock = [&now] { return now; };
-  CancelToken token = CancelToken::WithBudget(clock, 500.0);
-  token.TightenBudget(clock, 200.0);
-  EXPECT_DOUBLE_EQ(token.remaining_ms(), 200.0);
-  token.TightenBudget(clock, 800.0);  // looser: no-op
-  EXPECT_DOUBLE_EQ(token.remaining_ms(), 200.0);
+  net::Cost ledger;
+  ledger.SetDeadline(500.0);
+  ledger.SetDeadline(200.0);
+  EXPECT_DOUBLE_EQ(ledger.remaining_ms(), 200.0);
+  ledger.SetDeadline(800.0);  // looser: no-op
+  EXPECT_DOUBLE_EQ(ledger.remaining_ms(), 200.0);
 }
 
 TEST(CancelTokenTest, FirstCancelReasonWins) {
   CancelToken token = CancelToken::Cancellable();
-  EXPECT_FALSE(token.has_deadline());
   token.Cancel(Status(StatusCode::kDeadlineExceeded, "first"));
   token.Cancel(Status(StatusCode::kDeadlineExceeded, "second"));
   EXPECT_EQ(token.Check().message(), "first");
 }
 
 TEST(CancelTokenTest, RemainingNeverNegative) {
-  double now = 300.0;
-  CancelToken token = CancelToken::WithBudget([&now] { return now; }, 100.0);
-  now = 900.0;
-  EXPECT_DOUBLE_EQ(token.remaining_ms(), 0.0);
+  net::Cost ledger(300.0);
+  ledger.SetDeadline(400.0);
+  ledger.AddMs(600.0);
+  EXPECT_DOUBLE_EQ(ledger.remaining_ms(), 0.0);
 }
 
 // ---------- bounded thread-pool queue ----------
@@ -370,33 +372,31 @@ struct DeadlinePropagationFixture : public ::testing::Test {
         server_b("clarens://b:8080/x", &transport),
         server_c("clarens://c:8080/x", &transport) {
     for (const char* h : {"a", "b", "c"}) network.AddHost(h);
+    // A server's ledger starts at 0 when the request arrives, so its
+    // deadline instant is the budget the request carried.
     (void)server_c.RegisterMethod(
         "echo.budget",
         [](const rpc::XmlRpcArray&,
            rpc::CallContext& ctx) -> Result<rpc::XmlRpcValue> {
-          return rpc::XmlRpcValue(ctx.deadline_budget_ms);
+          return rpc::XmlRpcValue(ctx.cost.deadline_ms());
         });
     (void)server_b.RegisterMethod(
         "hop",
         [](const rpc::XmlRpcArray&,
            rpc::CallContext& ctx) -> Result<rpc::XmlRpcValue> {
-          // A real server derives its token from the wire budget, does
-          // some work, and forwards; the nested call stamps what is left.
-          net::Network* net_ptr = ctx.transport->network();
-          CancelToken token;
-          if (ctx.deadline_budget_ms > 0) {
-            token = CancelToken::WithBudget(
-                [net_ptr] { return net_ptr->NowMs(); }, ctx.deadline_budget_ms);
-          }
-          net_ptr->AdvanceClockMs(10.0);  // simulated server-side work
+          // A real server charges its work to the request's ledger (whose
+          // deadline is the wire budget) and forwards; the nested call
+          // stamps what is left.
+          const double received = ctx.cost.deadline_ms();
+          ctx.cost.AddMs(10.0);  // simulated server-side work
           rpc::RpcClient inner(ctx.transport, "b", "clarens://c:8080/x");
+          inner.set_connect_cost_ms(0.0);  // b's connection to c is warm
           GRIDDB_ASSIGN_OR_RETURN(
               rpc::XmlRpcValue nested,
-              inner.Call("echo.budget", {}, &ctx.cost, 0, "", nullptr,
-                         token.active() ? &token : nullptr));
+              inner.Call("echo.budget", {}, &ctx.cost));
           GRIDDB_ASSIGN_OR_RETURN(double inner_budget, nested.AsDouble());
           rpc::XmlRpcStruct out;
-          out["received"] = ctx.deadline_budget_ms;
+          out["received"] = received;
           out["inner"] = inner_budget;
           return rpc::XmlRpcValue(std::move(out));
         });
@@ -409,13 +409,15 @@ struct DeadlinePropagationFixture : public ::testing::Test {
 };
 
 TEST_F(DeadlinePropagationFixture, BudgetShrinksHopByHop) {
+  // Connect/auth is charged to the ledger like any other work, so the
+  // client connects before its budget starts.
   rpc::RpcClient client(&transport, "a", "clarens://b:8080/x");
-  CancelToken token = CancelToken::WithBudget(
-      [this] { return network.NowMs(); }, 1000.0);
-  network.AdvanceClockMs(7.0);  // client-side work before the call
-
+  ASSERT_TRUE(client.Connect(nullptr).ok());
   net::Cost cost;
-  auto reply = client.Call("hop", {}, &cost, 0, "", nullptr, &token);
+  cost.SetDeadline(1000.0);
+  cost.AddMs(7.0);  // client-side work before the call
+
+  auto reply = client.Call("hop", {}, &cost);
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   auto reply_struct = reply->AsStruct();
   ASSERT_TRUE(reply_struct.ok());
@@ -425,7 +427,7 @@ TEST_F(DeadlinePropagationFixture, BudgetShrinksHopByHop) {
   ASSERT_TRUE(inner.ok());
 
   // Hop 1 sees the budget minus the client's 7 ms; hop 2 sees at least
-  // 10 ms less again (server-b's work, plus its request-leg latency).
+  // 10 ms less again (server-b's work and dispatch).
   EXPECT_LE(*received, 993.0 + 1e-9);
   EXPECT_GT(*received, 900.0);
   EXPECT_LE(*inner, *received - 10.0 + 1e-9);
@@ -434,7 +436,9 @@ TEST_F(DeadlinePropagationFixture, BudgetShrinksHopByHop) {
 
 TEST_F(DeadlinePropagationFixture, ExhaustedBudgetTimesOutThenFailsFast) {
   // Every message on the a<->b link is delayed past the whole budget, so
-  // the attempt aborts mid-leg, charging exactly the remaining budget.
+  // the attempt aborts mid-leg, charging exactly the remaining budget —
+  // which spends the query's deadline: the call fails with
+  // kDeadlineExceeded, not a retryable attempt timeout.
   auto plan = std::make_shared<net::FaultPlan>(5);
   net::LinkFaultSpec slow;
   slow.delay_probability = 1.0;
@@ -443,27 +447,25 @@ TEST_F(DeadlinePropagationFixture, ExhaustedBudgetTimesOutThenFailsFast) {
   network.InstallFaultPlan(plan);
 
   rpc::RpcClient client(&transport, "a", "clarens://b:8080/x");
-  CancelToken token = CancelToken::WithBudget(
-      [this] { return network.NowMs(); }, 200.0);
-  const double t0 = network.NowMs();
-
   net::Cost cost;
+  cost.SetDeadline(200.0);
+
   rpc::CallStats first_stats;
-  auto timed_out = client.Call("hop", {}, &cost, 0, "", &first_stats, &token);
+  auto timed_out = client.Call("hop", {}, &cost, 0, "", &first_stats);
   ASSERT_FALSE(timed_out.ok());
-  EXPECT_EQ(timed_out.status().code(), StatusCode::kTimeout);
+  EXPECT_EQ(timed_out.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(first_stats.attempts, 1);
   // The abort charges the attempt to its deadline, never past it.
-  EXPECT_NEAR(network.NowMs() - t0, 200.0, 1e-6);
+  EXPECT_NEAR(cost.total_ms(), 200.0, 1e-6);
 
-  // The budget is spent: the next call on the same token fails fast at
+  // The budget is spent: the next call on the same ledger fails fast at
   // the between-attempts checkpoint without touching the wire.
   rpc::CallStats second_stats;
-  auto dead = client.Call("hop", {}, &cost, 0, "", &second_stats, &token);
+  auto dead = client.Call("hop", {}, &cost, 0, "", &second_stats);
   ASSERT_FALSE(dead.ok());
   EXPECT_EQ(dead.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(second_stats.attempts, 0);
-  EXPECT_NEAR(network.NowMs() - t0, 200.0, 1e-6);  // no time spent
+  EXPECT_NEAR(cost.total_ms(), 200.0, 1e-6);  // no time spent
 }
 
 TEST_F(DeadlinePropagationFixture, OverallTimeoutStopsRetrying) {
@@ -651,15 +653,15 @@ TEST_F(OverloadFixture, DeadlineExpiryMidForwardCancelsSiblingFetch) {
   config.default_deadline_ms = 700.0;
   DataAccessService coordinator(config, &catalog, &transport);
 
-  const double t0 = network.NowMs();
   QueryStats stats;
   auto rs = coordinator.Query(
       "SELECT events_a.id, events_b.id FROM events_a, events_b", &stats);
   ASSERT_FALSE(rs.ok());
   EXPECT_EQ(rs.status().code(), StatusCode::kDeadlineExceeded);
-  const double elapsed = network.NowMs() - t0;
-  // The timed-out attempt is charged exactly to the deadline, and the
-  // sibling's charges never move the shared clock past it.
+  // The query's ledger: the timed-out attempt is charged exactly to the
+  // deadline, and the sibling branch, joined by the slowest, never moves
+  // it past.
+  const double elapsed = stats.simulated_ms;
   EXPECT_GE(elapsed, 400.0);
   EXPECT_LE(elapsed, config.default_deadline_ms + 1.0);
   EXPECT_GE(network.fault_counters().delays, 1u);
@@ -802,6 +804,48 @@ TEST_F(OverloadFixture, CancellationRacesCompletionSafely) {
     EXPECT_TRUE(outcome.ok() ||
                 outcome.code() == StatusCode::kDeadlineExceeded)
         << outcome.ToString();
+  }
+}
+
+// ---------- deadlines on the query's ledger (Table 1 testbed) ----------
+
+TEST(LedgerDeadlineTest, FiresIfAndOnlyIfTheLedgerPassesTheBudget) {
+  // S is the unbounded simulated time of Table 1's 2- and 4-table
+  // queries on server A. A deadline half a millisecond short of S fails
+  // the query with kDeadlineExceeded — never kTimeout, even when the
+  // budget runs out inside an RLS lookup or a forward — and one half a
+  // millisecond past it lets the query finish.
+  const char* const queries[] = {
+      "SELECT a.id, a.value, b.value FROM chunk_my_a1_0 a "
+      "JOIN chunk_ms_a1_0 b ON a.id = b.id",
+      "SELECT a.id, a.value, b.value, c.value, d.value "
+      "FROM chunk_my_a1_0 a JOIN chunk_ms_a1_0 b ON a.id = b.id "
+      "JOIN chunk_my_b1_0 c ON a.id = c.id "
+      "JOIN chunk_ms_b1_0 d ON a.id = d.id",
+  };
+  std::unique_ptr<bench::Testbed> unbounded = bench::Testbed::Build();
+  for (const char* sql : queries) {
+    SCOPED_TRACE(sql);
+    QueryStats stats;
+    ASSERT_TRUE(unbounded->server_a->service().Query(sql, &stats).ok());
+    const double s = stats.simulated_ms;
+    for (double deadline : {s - 0.5, s + 0.5, 100.0}) {
+      SCOPED_TRACE("default_deadline_ms=" + std::to_string(deadline));
+      bench::TestbedOptions options;
+      options.default_deadline_ms = deadline;
+      std::unique_ptr<bench::Testbed> bed = bench::Testbed::Build(options);
+      QueryStats bounded;
+      auto rs = bed->server_a->service().Query(sql, &bounded);
+      if (deadline > s) {
+        ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+        // The forwarded <deadlineMs> header adds a few request bytes.
+        EXPECT_NEAR(bounded.simulated_ms, s, 0.1);
+      } else {
+        ASSERT_FALSE(rs.ok());
+        EXPECT_EQ(rs.status().code(), StatusCode::kDeadlineExceeded)
+            << rs.status().ToString();
+      }
+    }
   }
 }
 

@@ -230,12 +230,12 @@ TEST(TenantWireTest, SessionBindsTenantAgainstImpersonation) {
   EXPECT_EQ(adopted->AsString().value(), "atlas");
   // A header agreeing with the binding is fine.
   auto agreeing =
-      alice.Call("echoTenant", {}, &cost, 0, "", nullptr, nullptr, "atlas");
+      alice.Call("echoTenant", {}, &cost, 0, "", nullptr, "atlas");
   ASSERT_TRUE(agreeing.ok()) << agreeing.status().ToString();
   EXPECT_EQ(agreeing->AsString().value(), "atlas");
   // Impersonating another tenant is rejected before dispatch.
   auto spoofed =
-      alice.Call("echoTenant", {}, &cost, 0, "", nullptr, nullptr, "cms");
+      alice.Call("echoTenant", {}, &cost, 0, "", nullptr, "cms");
   ASSERT_FALSE(spoofed.ok());
   EXPECT_EQ(spoofed.status().code(), StatusCode::kPermissionDenied);
   EXPECT_NE(spoofed.status().message().find("cms"), std::string::npos);
@@ -244,7 +244,7 @@ TEST(TenantWireTest, SessionBindsTenantAgainstImpersonation) {
   // forwarding server) relays the original requester's tenant verbatim:
   // the edge server already enforced the binding.
   auto forwarded =
-      alice.Call("echoTenant", {}, &cost, 1, "", nullptr, nullptr, "cms");
+      alice.Call("echoTenant", {}, &cost, 1, "", nullptr, "cms");
   ASSERT_TRUE(forwarded.ok()) << forwarded.status().ToString();
   EXPECT_EQ(forwarded->AsString().value(), "cms");
 
@@ -417,8 +417,8 @@ TEST_F(TenantIsolationFixture, RpcHandlerAdoptsWireTenant) {
 
   // A per-call tenant overrides the client-wide default (one cached
   // client per server is shared by every tenant's fan-out).
-  auto ok = client.Call("dataaccess.query", params, &cost, 0, "", nullptr,
-                        nullptr, "atlas");
+  auto ok =
+      client.Call("dataaccess.query", params, &cost, 0, "", nullptr, "atlas");
   EXPECT_TRUE(ok.ok()) << ok.status().ToString();
 
   // No tenant at all = the anonymous user, granted everything here.

@@ -2,7 +2,9 @@
 // query forwarded via the RLS to a remote JClarens server must continue
 // the caller's trace (remote child spans ship back and stitch into one
 // connected tree), injected faults must not corrupt or duplicate spans,
-// and untraced traffic must stay byte-identical on the wire.
+// and untraced traffic must stay byte-identical on the wire. Spans read
+// the query's cost ledger, so on the Table 1 testbed every span tree adds
+// up to the query's simulated time.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/testbed.h"
 #include "griddb/core/jclarens_server.h"
 #include "griddb/net/fault.h"
 #include "griddb/obs/metrics.h"
@@ -384,6 +387,108 @@ TEST_F(TracePropagationFixture, MetricsRpcServesSnapshot) {
   ASSERT_TRUE(histograms.ok());
   EXPECT_TRUE((*histograms)->Member("griddb.core.query_ms").ok());
 }
+
+// ---------- one query clock: span trees on the Table 1 testbed ----------
+
+const char* const kTableOneQueries[] = {
+    "SELECT id, value FROM chunk_my_a1_0",
+    "SELECT a.id, a.value, b.value FROM chunk_my_a1_0 a "
+    "JOIN chunk_ms_a1_0 b ON a.id = b.id",
+    "SELECT a.id, a.value, b.value, c.value, d.value "
+    "FROM chunk_my_a1_0 a JOIN chunk_ms_a1_0 b ON a.id = b.id "
+    "JOIN chunk_my_b1_0 c ON a.id = c.id "
+    "JOIN chunk_ms_b1_0 d ON a.id = d.id",
+};
+
+double EndMs(const obs::SpanRecord& span) {
+  return span.start_ms + span.duration_ms;
+}
+
+bool IsRemoteTask(const obs::SpanRecord& span) {
+  for (const auto& [key, value] : span.attrs) {
+    if (key == "server") return true;
+  }
+  return false;
+}
+
+// Parameter: parallel (true) or serial (false) sub-query fan-out.
+class TableOneClockTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(TableOneClockTest, SpanTreesAddUpToSimulatedMs) {
+  constexpr double kTolMs = 1e-6;
+  bench::TestbedOptions options;
+  options.tracing = true;
+  options.parallel_subqueries = GetParam();
+  std::unique_ptr<bench::Testbed> bed = bench::Testbed::Build(options);
+  DataAccessService& service = bed->server_a->service();
+  for (const char* sql : kTableOneQueries) {
+    SCOPED_TRACE(sql);
+    service.tracer().Clear();
+    QueryStats stats;
+    auto rs = service.Query(sql, &stats);
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+
+    const std::vector<obs::SpanRecord> spans = service.tracer().Finished();
+    const obs::SpanRecord* root = nullptr;
+    for (const obs::SpanRecord& span : spans) {
+      if (span.parent_span_id == 0) root = &span;
+    }
+    ASSERT_NE(root, nullptr);
+    ASSERT_EQ(root->name, "dataaccess.query");
+    const std::string tree = service.tracer().FormatTrace(root->trace_id);
+
+    // The root span is the query's ledger, end to end.
+    EXPECT_NEAR(root->duration_ms, stats.simulated_ms, 0.1) << tree;
+    // Every span lies inside its parent, imported remote spans included.
+    for (const obs::SpanRecord& span : spans) {
+      if (span.parent_span_id == 0) continue;
+      const obs::SpanRecord* parent =
+          TracePropagationFixture::FindById(spans, span.parent_span_id);
+      ASSERT_NE(parent, nullptr) << span.name << "\n" << tree;
+      EXPECT_GE(span.start_ms, parent->start_ms - kTolMs)
+          << span.name << " starts before " << parent->name << "\n" << tree;
+      EXPECT_LE(EndMs(span), EndMs(*parent) + kTolMs)
+          << span.name << " ends after " << parent->name << "\n" << tree;
+    }
+
+    // The fan-out: every task starts at the fan-out instant (serial mode
+    // runs the local ones back to back from it), and the merge starts
+    // when the last of them ends.
+    std::vector<const obs::SpanRecord*> local, remote;
+    const obs::SpanRecord* merge = nullptr;
+    for (const obs::SpanRecord& span : spans) {
+      if (span.parent_span_id != root->span_id) continue;
+      if (span.name == "dataaccess.merge") merge = &span;
+      if (span.name != "dataaccess.subquery") continue;
+      (IsRemoteTask(span) ? remote : local).push_back(&span);
+    }
+    if (local.empty() && remote.empty()) continue;  // one database: direct
+    ASSERT_NE(merge, nullptr) << tree;
+    ASSERT_FALSE(local.empty()) << tree;
+    std::sort(local.begin(), local.end(),
+              [](const obs::SpanRecord* a, const obs::SpanRecord* b) {
+                return a->start_ms < b->start_ms;
+              });
+    const double fanout_ms = local.front()->start_ms;
+    double last_end = 0;
+    for (size_t k = 0; k < local.size(); ++k) {
+      const double expected_start =
+          GetParam() || k == 0 ? fanout_ms : EndMs(*local[k - 1]);
+      EXPECT_NEAR(local[k]->start_ms, expected_start, kTolMs) << tree;
+      last_end = std::max(last_end, EndMs(*local[k]));
+    }
+    for (const obs::SpanRecord* task : remote) {
+      EXPECT_NEAR(task->start_ms, fanout_ms, kTolMs) << tree;
+      last_end = std::max(last_end, EndMs(*task));
+    }
+    EXPECT_NEAR(merge->start_ms, last_end, kTolMs) << tree;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(FanOut, TableOneClockTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Parallel" : "Serial";
+                         });
 
 }  // namespace
 }  // namespace griddb::core

@@ -120,7 +120,9 @@ TEST(BlockCompressTest, DamagedInputFailsInsteadOfOverreading) {
     damaged[static_cast<size_t>(rng.UniformInt(
         0, static_cast<int64_t>(damaged.size()) - 1))] ^= '\x5a';
     auto out = wire::BlockDecompress(damaged, in.size());
-    if (out.ok()) EXPECT_NE(*out, in) << "damage must not masquerade";
+    if (out.ok()) {
+      EXPECT_NE(*out, in) << "damage must not masquerade";
+    }
     // (Either a clean failure or a different payload; the frame digest
     // above this layer is what guarantees detection end to end.)
   }
